@@ -762,6 +762,8 @@ pub fn fig15(ctx: &Context, out: &mut dyn Write) -> AnyResult {
             "log10_p_full",
             "p_empty",
             "p_full",
+            "std_err_empty",
+            "std_err_full",
         ],
     )?;
     writeln!(out, "twist m* = {twist}")?;
@@ -779,6 +781,8 @@ pub fn fig15(ctx: &Context, out: &mut dyn Write) -> AnyResult {
             pf.max(1e-300).log10(),
             pe,
             pf,
+            curves[0].1.variance[i].sqrt(),
+            curves[1].1.variance[i].sqrt(),
         ])?;
         writeln!(
             out,
@@ -872,6 +876,7 @@ pub fn fig17(ctx: &Context, out: &mut dyn Write) -> AnyResult {
         ("fgn_only", BackgroundKind::LrdOnly),
     ];
     let mut results: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
+    let mut std_errs: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
     for (ki, (_, kind)) in kinds.iter().enumerate() {
         for (bi, &b) in FIG16_BUFFERS.iter().enumerate() {
             let horizon = (10.0 * b) as usize;
@@ -885,11 +890,21 @@ pub fn fig17(ctx: &Context, out: &mut dyn Write) -> AnyResult {
                 0x71617 + (ki * 100 + bi) as u64,
             )?;
             results[ki].push(est.p);
+            std_errs[ki].push(est.std_err());
         }
     }
     let mut csv = Csv::create(
         "fig17",
-        &["buffer", "p_srd_lrd", "p_srd_only", "p_fgn_only", "p_trace"],
+        &[
+            "buffer",
+            "p_srd_lrd",
+            "p_srd_only",
+            "p_fgn_only",
+            "p_trace",
+            "std_err_srd_lrd",
+            "std_err_srd_only",
+            "std_err_fgn_only",
+        ],
     )?;
     writeln!(
         out,
@@ -903,6 +918,9 @@ pub fn fig17(ctx: &Context, out: &mut dyn Write) -> AnyResult {
             results[1][bi],
             results[2][bi],
             trace_curve[bi].1,
+            std_errs[0][bi],
+            std_errs[1][bi],
+            std_errs[2][bi],
         ])?;
         writeln!(
             out,

@@ -163,6 +163,77 @@ impl IsEstimate {
     }
 }
 
+/// One slot of the untwisted Durbin–Levinson path, carrying everything a
+/// twist needs (see the crate docs): under twist `m*` the slot's background
+/// value is `x0 + m*`, and its log-likelihood-ratio increment depends only
+/// on the innovation `ε`, the conditional variance `v` and `s = 1 − Σφ`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SharedSlot {
+    x0: f64,
+    eps: f64,
+    var: f64,
+    s: f64,
+}
+
+impl SharedSlot {
+    /// Draw the next slot of the untwisted path (slot `hist.len()`) and
+    /// append its value to `hist` — one O(k) dot product for every twist.
+    pub(crate) fn draw<R: Rng + ?Sized>(
+        prepared: &PreparedHosking,
+        hist: &mut Vec<f64>,
+        normal: &mut Normal,
+        rng: &mut R,
+    ) -> Self {
+        let m = prepared.moments(hist.len(), hist);
+        let eps = normal.sample(rng) * m.var.sqrt();
+        let x0 = m.mean + eps;
+        hist.push(x0);
+        Self {
+            x0,
+            eps,
+            var: m.var,
+            s: 1.0 - m.phi_sum,
+        }
+    }
+
+    /// The twisted background value `x0 + m*` and the log-likelihood-ratio
+    /// increment `−shift·(2ε + shift)/(2v)`, `shift = m*·(1 − Σφ)`, of this
+    /// slot under twist `m*`.
+    #[inline]
+    pub(crate) fn twisted(&self, twist: f64) -> (f64, f64) {
+        let shift = twist * self.s;
+        // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
+        let d_log_lr = if shift != 0.0 {
+            -(shift * (2.0 * self.eps + shift) / (2.0 * self.var))
+        } else {
+            0.0
+        };
+        (self.x0 + twist, d_log_lr)
+    }
+}
+
+/// Running state of one twist inside [`IsEstimator::replicate_twists`].
+#[derive(Debug, Clone, Copy)]
+struct TwistLane {
+    twist: f64,
+    log_lr: f64,
+    /// Running workload `W` (first passage) or queue level `Q` (level at
+    /// horizon).
+    level: f64,
+    live: bool,
+}
+
+/// Reusable per-replication buffers for [`IsEstimator::replicate_twists`]:
+/// the untwisted path's history, the per-twist state, and the per-twist
+/// outcomes. Create one per worker and pass it to every replication, so
+/// the slot loop never allocates.
+#[derive(Debug, Default, Clone)]
+pub struct IsScratch {
+    hist: Vec<f64>,
+    lanes: Vec<TwistLane>,
+    out: Vec<IsReplication>,
+}
+
 /// The IS estimator for a fixed system configuration.
 ///
 /// Construction runs the Durbin–Levinson recursion once
@@ -223,26 +294,6 @@ impl<M: Marginal> IsEstimator<M> {
         })
     }
 
-    /// Reuse an already-prepared recursion (e.g. across twists in a valley
-    /// search — the preparation is the expensive part).
-    pub fn from_prepared(
-        prepared: PreparedHosking,
-        transform: GaussianTransform<M>,
-        service: f64,
-        buffer: f64,
-        twist: f64,
-        event: IsEvent,
-    ) -> Self {
-        Self {
-            prepared,
-            transform,
-            service,
-            buffer,
-            twist,
-            event,
-        }
-    }
-
     /// The horizon `k`.
     pub fn horizon(&self) -> usize {
         self.prepared.len()
@@ -254,7 +305,7 @@ impl<M: Marginal> IsEstimator<M> {
     }
 
     /// Clone with a different twist (sharing nothing mutable; the prepared
-    /// recursion is cloned — use [`Self::from_prepared`] to share).
+    /// recursion is cloned).
     pub fn with_twist(&self, twist: f64) -> Self
     where
         M: Clone,
@@ -269,61 +320,110 @@ impl<M: Marginal> IsEstimator<M> {
         }
     }
 
-    /// Run one replication (steps 2–7 of the paper's procedure).
+    /// Run one replication at this estimator's twist (steps 2–7 of the
+    /// paper's procedure): the one-twist call of
+    /// [`Self::replicate_twists`].
     pub fn replicate<R: Rng + ?Sized>(&self, rng: &mut R) -> IsReplication {
+        self.replicate_in(rng, &mut IsScratch::default())
+    }
+
+    fn replicate_in<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut IsScratch) -> IsReplication {
+        self.replicate_twists(std::slice::from_ref(&self.twist), rng, scratch)[0]
+    }
+
+    /// Run one replication under every twist in `twists` at once, on one
+    /// shared untwisted Durbin–Levinson path, and return one outcome per
+    /// twist (in `twists` order; the estimator's own twist is not used).
+    ///
+    /// Each slot draws `ε_i` and computes the untwisted `x0_i` with one dot
+    /// product. Every twist still running then takes `x0_i + m*` as its
+    /// background value, adds its log-likelihood-ratio increment, and
+    /// applies the transform and its first-passage or Lindley step. The
+    /// replication stops when every twist has ended. All twists see the
+    /// same innovations: common random numbers.
+    pub fn replicate_twists<'s, R: Rng + ?Sized>(
+        &self,
+        twists: &[f64],
+        rng: &mut R,
+        scratch: &'s mut IsScratch,
+    ) -> &'s [IsReplication] {
         let horizon = self.prepared.len();
-        let mut normal = Normal::new();
-        let mut hist: Vec<f64> = Vec::with_capacity(horizon);
-        let mut log_lr = 0.0f64;
-        let mut w = 0.0f64; // running workload (FirstPassage)
-        let mut q = match self.event {
+        let initial = match self.event {
             IsEvent::LevelAtHorizon { initial } => initial,
             IsEvent::FirstPassage => 0.0,
         };
+        let IsScratch { hist, lanes, out } = scratch;
+        hist.clear();
+        hist.reserve(horizon);
+        lanes.clear();
+        lanes.extend(twists.iter().map(|&twist| TwistLane {
+            twist,
+            log_lr: 0.0,
+            level: initial,
+            live: true,
+        }));
+        out.clear();
+        out.resize(
+            twists.len(),
+            IsReplication {
+                hit: false,
+                weight: 0.0,
+                log_lr: 0.0,
+                slots_used: horizon,
+            },
+        );
+        let mut normal = Normal::new();
+        let mut live = twists.len();
         for i in 0..horizon {
-            let m = self.prepared.moments(i, &hist);
-            // Twisted conditional mean: m_i + m*·(1 − Σφ) (eqs. 35–36).
-            let shift = self.twist * (1.0 - m.phi_sum);
-            let eps = normal.sample(rng) * m.var.sqrt();
-            let x = m.mean + shift + eps;
-            hist.push(x);
-            // ln L_i = −shift·(2ε + shift)/(2v)  (see crate docs).
-            // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
-            if shift != 0.0 {
-                log_lr -= shift * (2.0 * eps + shift) / (2.0 * m.var);
+            if live == 0 {
+                break;
+            }
+            let slot = SharedSlot::draw(&self.prepared, hist, &mut normal, rng);
+            for (lane, rep) in lanes.iter_mut().zip(out.iter_mut()) {
+                if !lane.live {
+                    continue;
+                }
+                let (x, d_log_lr) = slot.twisted(lane.twist);
+                lane.log_lr += d_log_lr;
                 debug_assert!(
-                    log_lr.is_finite(),
+                    lane.log_lr.is_finite(),
                     "likelihood-ratio accumulator left the finite range at slot {i}"
                 );
-            }
-            let y = self.transform.apply(x);
-            match self.event {
-                IsEvent::FirstPassage => {
-                    w += y - self.service;
-                    if w > self.buffer {
-                        return IsReplication {
-                            hit: true,
-                            weight: log_lr.exp(),
-                            log_lr,
-                            slots_used: i + 1,
-                        };
+                let y = self.transform.apply(x);
+                match self.event {
+                    IsEvent::FirstPassage => {
+                        lane.level += y - self.service;
+                        if lane.level > self.buffer {
+                            lane.live = false;
+                            live -= 1;
+                            *rep = IsReplication {
+                                hit: true,
+                                weight: lane.log_lr.exp(),
+                                log_lr: lane.log_lr,
+                                slots_used: i + 1,
+                            };
+                        }
+                    }
+                    IsEvent::LevelAtHorizon { .. } => {
+                        lane.level = (lane.level + y - self.service).max(0.0);
                     }
                 }
-                IsEvent::LevelAtHorizon { .. } => {
-                    q = (q + y - self.service).max(0.0);
-                }
             }
         }
-        let hit = match self.event {
-            IsEvent::FirstPassage => false,
-            IsEvent::LevelAtHorizon { .. } => q > self.buffer,
-        };
-        IsReplication {
-            hit,
-            weight: if hit { log_lr.exp() } else { 0.0 },
-            log_lr,
-            slots_used: horizon,
+        for (lane, rep) in lanes.iter().zip(out.iter_mut()) {
+            if !lane.live {
+                continue;
+            }
+            // Ran to the horizon: a first-passage miss, or the level test.
+            let hit = match self.event {
+                IsEvent::FirstPassage => false,
+                IsEvent::LevelAtHorizon { .. } => lane.level > self.buffer,
+            };
+            rep.hit = hit;
+            rep.weight = if hit { lane.log_lr.exp() } else { 0.0 };
+            rep.log_lr = lane.log_lr;
         }
+        out
     }
 
     /// Run `n` replications sequentially.
@@ -343,8 +443,9 @@ impl<M: Marginal> IsEstimator<M> {
                 svbr_obsv::Watermark::below("is.rel_ci_half_width", REL_CI_TARGET),
             )
         });
+        let mut scratch = IsScratch::default();
         for i in 0..n {
-            acc.add(&self.replicate(rng));
+            acc.add(&self.replicate_in(rng, &mut scratch));
             let Some((ess_wm, ci_wm)) = telemetry.as_mut() else {
                 continue;
             };
@@ -370,7 +471,7 @@ impl<M: Marginal> IsEstimator<M> {
             ci_wm.observe(done as u64, rel_ci);
         }
         let est = acc.finish();
-        self.observe_run(&acc, &est, "sequential");
+        self.observe_run(self.twist, &acc, &est, "sequential");
         est
     }
 
@@ -378,7 +479,7 @@ impl<M: Marginal> IsEstimator<M> {
     /// mean/variance (in log space), Kish effective sample size, and the
     /// twist used — the quantities that tell whether the change of measure
     /// is healthy (cf. `crate::diagnostics`).
-    fn observe_run(&self, acc: &Accumulator, est: &IsEstimate, mode: &str) {
+    fn observe_run(&self, twist: f64, acc: &Accumulator, est: &IsEstimate, mode: &str) {
         svbr_obsv::counter("is.replications").add(acc.n as u64);
         if svbr_obsv::enabled() {
             // Same total, split by execution mode (sequential vs parallel).
@@ -397,7 +498,7 @@ impl<M: Marginal> IsEstimator<M> {
         svbr_obsv::point(
             "is.run",
             &[
-                ("twist", self.twist),
+                ("twist", twist),
                 ("buffer", self.buffer),
                 ("horizon", self.prepared.len() as f64),
                 ("n", nf),
@@ -539,22 +640,52 @@ impl<M: Marginal> IsEstimator<M> {
     where
         M: Sync,
     {
+        let twist = std::slice::from_ref(&self.twist);
+        self.run_twists_from(twist, n, master_seed, first_rep, threads)[0]
+    }
+
+    /// Run replications `first_rep .. first_rep + n` of the master schedule
+    /// under every twist in `twists` through [`Self::replicate_twists`]:
+    /// replication `r` of every twist shares one untwisted path, drawn from
+    /// `svbr_par::derive_seed(master_seed, first_rep + r)`. Returns one
+    /// estimate per twist, each folded in replication-index order, so the
+    /// result is **bit-identical for any thread count**.
+    pub(crate) fn run_twists_from(
+        &self,
+        twists: &[f64],
+        n: usize,
+        master_seed: u64,
+        first_rep: u64,
+        threads: usize,
+    ) -> Vec<IsEstimate>
+    where
+        M: Sync,
+    {
+        let width = twists.len();
+        // Replication-major: entry `r·width + t` is twist `t` of replication `r`.
         let reps = svbr_par::par_map_blocks(n, threads, |range| {
-            range
-                .map(|i| {
-                    let seed = svbr_par::derive_seed(master_seed, first_rep + i as u64);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    self.replicate(&mut rng)
-                })
-                .collect()
+            let mut scratch = IsScratch::default();
+            let mut block = Vec::with_capacity(range.len() * width);
+            for i in range {
+                let seed = svbr_par::derive_seed(master_seed, first_rep + i as u64);
+                let mut rng = StdRng::seed_from_u64(seed);
+                block.extend_from_slice(self.replicate_twists(twists, &mut rng, &mut scratch));
+            }
+            block
         });
-        let mut total = Accumulator::default();
-        for r in &reps {
-            total.add(r);
-        }
-        let est = total.finish();
-        self.observe_run(&total, &est, "parallel");
-        est
+        twists
+            .iter()
+            .enumerate()
+            .map(|(t, &twist)| {
+                let mut total = Accumulator::default();
+                for r in reps.iter().skip(t).step_by(width.max(1)) {
+                    total.add(r);
+                }
+                let est = total.finish();
+                self.observe_run(twist, &total, &est, "parallel");
+                est
+            })
+            .collect()
     }
 }
 
@@ -630,6 +761,176 @@ mod tests {
             event,
         )
         .unwrap()
+    }
+
+    /// The twisted Durbin–Levinson recursion the library ran before the
+    /// shared path: one recursion per twist, each conditioning on its own
+    /// twisted history. Kept as the oracle for [`IsEstimator::replicate_twists`].
+    fn twisted_recursion_oracle<M: Marginal, R: Rng + ?Sized>(
+        est: &IsEstimator<M>,
+        twist: f64,
+        rng: &mut R,
+    ) -> IsReplication {
+        let horizon = est.prepared.len();
+        let mut normal = Normal::new();
+        let mut hist: Vec<f64> = Vec::with_capacity(horizon);
+        let mut log_lr = 0.0f64;
+        let mut level = match est.event {
+            IsEvent::LevelAtHorizon { initial } => initial,
+            IsEvent::FirstPassage => 0.0,
+        };
+        for i in 0..horizon {
+            let m = est.prepared.moments(i, &hist);
+            let shift = twist * (1.0 - m.phi_sum);
+            let eps = normal.sample(rng) * m.var.sqrt();
+            let x = m.mean + shift + eps;
+            hist.push(x);
+            if shift != 0.0 {
+                log_lr -= shift * (2.0 * eps + shift) / (2.0 * m.var);
+            }
+            let y = est.transform.apply(x);
+            match est.event {
+                IsEvent::FirstPassage => {
+                    level += y - est.service;
+                    if level > est.buffer {
+                        return IsReplication {
+                            hit: true,
+                            weight: log_lr.exp(),
+                            log_lr,
+                            slots_used: i + 1,
+                        };
+                    }
+                }
+                IsEvent::LevelAtHorizon { .. } => level = (level + y - est.service).max(0.0),
+            }
+        }
+        let hit = match est.event {
+            IsEvent::FirstPassage => false,
+            IsEvent::LevelAtHorizon { .. } => level > est.buffer,
+        };
+        IsReplication {
+            hit,
+            weight: if hit { log_lr.exp() } else { 0.0 },
+            log_lr,
+            slots_used: horizon,
+        }
+    }
+
+    /// Compare every twist of `replicate_twists` with the oracle at the same
+    /// per-replication seed. Returns (comparisons, flipped, hits): a flip is a
+    /// replication whose `hit` or `slots_used` differs, which can only
+    /// happen where `x0 + m*` and the recursion round to different sides of
+    /// a threshold. Non-flipped replications must agree in weight and
+    /// log-LR to 1e-12 relative.
+    fn compare_with_oracle<M: Marginal>(
+        est: &IsEstimator<M>,
+        twists: &[f64],
+        reps: u64,
+    ) -> (usize, usize, usize) {
+        let mut scratch = IsScratch::default();
+        let (mut compared, mut flipped, mut hits) = (0, 0, 0);
+        for r in 0..reps {
+            let seed = svbr_par::derive_seed(2024, r);
+            let shared = est
+                .replicate_twists(twists, &mut StdRng::seed_from_u64(seed), &mut scratch)
+                .to_vec();
+            for (&twist, got) in twists.iter().zip(&shared) {
+                let want = twisted_recursion_oracle(est, twist, &mut StdRng::seed_from_u64(seed));
+                compared += 1;
+                hits += usize::from(want.hit);
+                if got.hit != want.hit || got.slots_used != want.slots_used {
+                    flipped += 1;
+                    continue;
+                }
+                let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
+                assert!(
+                    got.weight == want.weight || rel(got.weight, want.weight) < 1e-12,
+                    "weight {} vs {} at twist {twist}, rep {r}",
+                    got.weight,
+                    want.weight
+                );
+                assert!(
+                    got.log_lr == want.log_lr || rel(got.log_lr, want.log_lr) < 1e-12,
+                    "log-LR {} vs {} at twist {twist}, rep {r}",
+                    got.log_lr,
+                    want.log_lr
+                );
+            }
+        }
+        (compared, flipped, hits)
+    }
+
+    #[test]
+    fn shared_path_matches_twisted_recursion_oracle() -> Result<(), Box<dyn std::error::Error>> {
+        let twists = [0.0, 0.5, 1.0, 2.0, 3.0];
+        let gamma = GaussianTransform::new(svbr_marginal::Gamma::new(2.0, 1.5)?);
+        let systems = [
+            // White noise, Gaussian foreground, first passage.
+            compare_with_oracle(
+                &white_noise_system(60, 1.0, 8.0, 0.0, IsEvent::FirstPassage),
+                &twists,
+                400,
+            ),
+            // LRD background, Gamma foreground (a non-trivial transform).
+            compare_with_oracle(
+                &IsEstimator::new(
+                    FgnAcf::new(0.8)?,
+                    120,
+                    gamma.clone(),
+                    3.6,
+                    12.0,
+                    0.0,
+                    IsEvent::FirstPassage,
+                )?,
+                &twists,
+                300,
+            ),
+            // SRD background, level at horizon from a full buffer.
+            compare_with_oracle(
+                &IsEstimator::new(
+                    ExponentialAcf::new(0.3)?,
+                    80,
+                    gamma,
+                    3.3,
+                    6.0,
+                    0.0,
+                    IsEvent::LevelAtHorizon { initial: 6.0 },
+                )?,
+                &twists,
+                300,
+            ),
+        ];
+        for &(compared, _, hits) in &systems {
+            assert!(
+                hits > 0 && hits < compared,
+                "need hits and misses: {hits} of {compared}"
+            );
+        }
+        let compared: usize = systems.iter().map(|s| s.0).sum();
+        let flipped: usize = systems.iter().map(|s| s.1).sum();
+        assert_eq!(compared, 5 * (400 + 300 + 300));
+        // A handful at most: a flip needs a workload within a few ulp of
+        // the buffer (or of zero, for the Lindley floor).
+        assert!(flipped <= 5, "{flipped} of {compared} replications flipped");
+        Ok(())
+    }
+
+    #[test]
+    fn replicate_is_the_one_twist_kernel_call() {
+        let est = white_noise_system(40, 0.6, 3.0, 0.8, IsEvent::FirstPassage);
+        let mut scratch = IsScratch::default();
+        for r in 0..200 {
+            let one = est.replicate(&mut StdRng::seed_from_u64(r));
+            let many = est.replicate_twists(
+                &[0.3, 0.8, 1.6],
+                &mut StdRng::seed_from_u64(r),
+                &mut scratch,
+            );
+            assert_eq!(one, many[1], "rep {r}");
+        }
+        assert!(est
+            .replicate_twists(&[], &mut StdRng::seed_from_u64(0), &mut scratch)
+            .is_empty());
     }
 
     #[test]

@@ -32,6 +32,29 @@
 //! ```
 //!
 //! which telescopes over steps into eq. 42's product.
+//!
+//! ## One untwisted path serves every twist
+//!
+//! The twisted path never has to be simulated through its own recursion.
+//! Let `x0` be the untwisted Durbin–Levinson path driven by the
+//! innovations `ε_i`: `x0_i = m_i(x0) + ε_i`. If every earlier value of the
+//! twisted path is `x0_j + m*`, its exact conditional mean is
+//! `m_i(x0) + m*·Σφ_i`, so
+//!
+//! ```text
+//! x_i(m*) = m_i(x0) + m*·Σφ_i + m*·s_i + ε_i = x0_i + m*
+//! ```
+//!
+//! and by induction the whole twisted path is `x0 + m*`. The
+//! likelihood-ratio increment above needs only `(ε_i, v_i, s_i)`. A
+//! replication therefore computes `x0` once — one O(i) dot product per
+//! slot — and evaluates any number of twists on it
+//! ([`IsEstimator::replicate_twists`]); only the transform and the queue
+//! step are paid per twist. The twists of one replication see the same
+//! innovations: **common random numbers**, so the differences across a
+//! valley ([`valley_search`]) come from the twist, not from independent
+//! noise. In floating point, `x0_i + m*` and the twisted recursion differ
+//! by rounding only; DESIGN §5 measures the effect.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +65,7 @@ pub mod search;
 pub mod transient;
 
 pub use diagnostics::{weight_diagnostics, WeightDiagnostics};
-pub use estimator::{IsEstimate, IsEstimator, IsEvent, IsReplication};
+pub use estimator::{IsEstimate, IsEstimator, IsEvent, IsReplication, IsScratch};
 pub use search::{suggest_twist, valley_search, TwistPoint};
 pub use transient::{is_transient_curve, TransientConfig, TransientEstimate};
 

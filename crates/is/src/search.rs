@@ -9,7 +9,6 @@
 use crate::estimator::{IsEstimate, IsEstimator, IsEvent};
 use crate::IsError;
 use svbr_lrd::acf::Acf;
-use svbr_lrd::hosking::PreparedHosking;
 use svbr_marginal::transform::GaussianTransform;
 use svbr_marginal::Marginal;
 
@@ -33,10 +32,20 @@ impl TwistPoint {
 /// Evaluate the normalized variance at each candidate twist and return the
 /// full valley plus the index of its minimum.
 ///
-/// The Durbin–Levinson preparation is done once and shared across twists;
-/// each twist runs `n_reps` replications over `threads` threads.
+/// The Durbin–Levinson preparation is done once. Each of the `n_reps`
+/// replications (seed `svbr_par::derive_seed(base_seed, r)`, over
+/// `threads` threads) draws one untwisted path and scores every twist on
+/// it ([`IsEstimator::replicate_twists`]): the twists share their random
+/// numbers, which sharpens the valley's shape comparison, and each slot's
+/// dot product is paid once instead of once per twist. Every twist's
+/// estimate is folded in replication-index order, so the valley is
+/// bit-identical for any thread count.
+///
+/// Rejects an empty or non-finite twist list, `n_reps == 0`, and the
+/// inputs [`IsEstimator::new`] rejects (`horizon == 0`, `service <= 0`,
+/// non-finite service or buffer).
 #[allow(clippy::too_many_arguments)]
-pub fn valley_search<A: Acf, M: Marginal + Clone + Sync>(
+pub fn valley_search<A: Acf, M: Marginal + Sync>(
     acf: A,
     horizon: usize,
     transform: GaussianTransform<M>,
@@ -54,20 +63,22 @@ pub fn valley_search<A: Acf, M: Marginal + Clone + Sync>(
             constraint: "at least one candidate",
         });
     }
-    let prepared = PreparedHosking::new(acf, horizon)?;
+    if !twists.iter().all(|t| t.is_finite()) {
+        return Err(IsError::InvalidParameter {
+            name: "twists",
+            constraint: "every twist finite",
+        });
+    }
+    if n_reps == 0 {
+        return Err(IsError::InvalidParameter {
+            name: "n_reps",
+            constraint: ">= 1",
+        });
+    }
+    let est = IsEstimator::new(acf, horizon, transform, service, buffer, 0.0, event)?;
+    let estimates = est.run_twists_from(twists, n_reps, base_seed, 0, threads);
     let mut points = Vec::with_capacity(twists.len());
-    for (i, &twist) in twists.iter().enumerate() {
-        let est = IsEstimator::from_prepared(
-            prepared.clone(),
-            transform.clone(),
-            service,
-            buffer,
-            twist,
-            event,
-        );
-        // Same seed across twists: common random numbers sharpen the
-        // valley's shape comparison.
-        let estimate = est.run_parallel(n_reps, base_seed.wrapping_add(i as u64), threads);
+    for (&twist, estimate) in twists.iter().zip(estimates) {
         if svbr_obsv::enabled() {
             svbr_obsv::point(
                 "is.valley",
@@ -297,6 +308,115 @@ mod tests {
         assert!(suggest_twist(&NormalDist::standard(), 0.0, 1.0, 10, 40).is_err());
         assert!(suggest_twist(&NormalDist::standard(), 1.0, -1.0, 10, 40).is_err());
         assert!(suggest_twist(&NormalDist::standard(), 1.0, 1.0, 0, 40).is_err());
+    }
+
+    fn search_white_noise(
+        service: f64,
+        buffer: f64,
+        twists: &[f64],
+        n_reps: usize,
+        threads: usize,
+    ) -> Result<(Vec<TwistPoint>, usize), IsError> {
+        valley_search(
+            FgnAcf::new(0.5)?,
+            30,
+            GaussianTransform::new(NormalDist::standard()),
+            service,
+            buffer,
+            IsEvent::FirstPassage,
+            twists,
+            n_reps,
+            3,
+            threads,
+        )
+    }
+
+    #[test]
+    fn valley_search_is_bit_identical_across_thread_counts(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let twists = [0.0, 0.5, 1.0, 2.0];
+        let (baseline, best) = search_white_noise(0.8, 4.0, &twists, 600, 1)?;
+        assert!(baseline.iter().skip(1).all(|p| p.estimate.hits > 0));
+        for threads in [2usize, 8] {
+            let (points, b) = search_white_noise(0.8, 4.0, &twists, 600, threads)?;
+            assert_eq!(b, best, "threads={threads}");
+            for (p, q) in points.iter().zip(&baseline) {
+                let (e, f) = (p.estimate, q.estimate);
+                assert_eq!(e.p.to_bits(), f.p.to_bits(), "threads={threads}");
+                assert_eq!(e.variance.to_bits(), f.variance.to_bits());
+                assert_eq!(e.hits, f.hits);
+                assert_eq!(e.n, f.n);
+                assert_eq!(e.mean_slots.to_bits(), f.mean_slots.to_bits());
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn valley_twists_share_random_numbers() -> Result<(), Box<dyn std::error::Error>> {
+        // Common random numbers: a twist's replications are the same
+        // experiments whatever the other twists are, and the point for a
+        // twist equals a plain run of the estimator at that twist on the
+        // same seed schedule.
+        let (both, _) = search_white_noise(0.8, 4.0, &[0.5, 1.5], 400, 2)?;
+        let (alone, _) = search_white_noise(0.8, 4.0, &[1.5], 400, 2)?;
+        assert_eq!(both[1].estimate, alone[0].estimate);
+        let est = IsEstimator::new(
+            FgnAcf::new(0.5)?,
+            30,
+            GaussianTransform::new(NormalDist::standard()),
+            0.8,
+            4.0,
+            1.5,
+            IsEvent::FirstPassage,
+        )?;
+        assert_eq!(est.run_parallel(400, 3, 1), alone[0].estimate);
+        Ok(())
+    }
+
+    #[test]
+    fn valley_search_rejects_nan_twist() {
+        let r = search_white_noise(1.0, 4.0, &[0.5, f64::NAN], 10, 1);
+        assert!(matches!(
+            r,
+            Err(IsError::InvalidParameter { name: "twists", .. })
+        ));
+        let r = search_white_noise(1.0, 4.0, &[f64::INFINITY], 10, 1);
+        assert!(matches!(
+            r,
+            Err(IsError::InvalidParameter { name: "twists", .. })
+        ));
+    }
+
+    #[test]
+    fn valley_search_rejects_nonpositive_service() {
+        for service in [0.0, -1.0, f64::NAN] {
+            let r = search_white_noise(service, 4.0, &[0.5], 10, 1);
+            assert!(
+                matches!(r, Err(IsError::Domain(_))),
+                "service {service}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn valley_search_rejects_non_finite_buffer() {
+        for buffer in [f64::NAN, f64::INFINITY] {
+            let r = search_white_noise(1.0, buffer, &[0.5], 10, 1);
+            assert!(
+                matches!(r, Err(IsError::Domain(_))),
+                "buffer {buffer}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn valley_search_rejects_zero_reps() {
+        let r = search_white_noise(1.0, 4.0, &[0.5], 0, 1);
+        assert!(matches!(
+            r,
+            Err(IsError::InvalidParameter { name: "n_reps", .. })
+        ));
     }
 
     #[test]

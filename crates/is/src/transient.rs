@@ -4,8 +4,11 @@
 //! initial buffers. One IS replication can score *every* stop time at once:
 //! run the twisted path to the full horizon, maintain the Lindley recursion
 //! and the running log-likelihood ratio, and at each requested stop time
-//! record `1{Q_k > b}·L(k)`.
+//! record `1{Q_k > b}·L(k)`. The twisted path is the untwisted one shifted
+//! by `m*`, slot by slot (the same per-slot step as
+//! [`crate::IsEstimator::replicate_twists`]).
 
+use crate::estimator::SharedSlot;
 use crate::IsError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,15 +124,9 @@ where
         let mut q = config.initial;
         let mut next = 0usize;
         for i in 0..horizon {
-            let mo = prepared.moments(i, &hist);
-            let shift = config.twist * (1.0 - mo.phi_sum);
-            let eps = normal.sample(&mut rng) * mo.var.sqrt();
-            let x = mo.mean + shift + eps;
-            hist.push(x);
-            // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
-            if shift != 0.0 {
-                log_lr -= shift * (2.0 * eps + shift) / (2.0 * mo.var);
-            }
+            let slot = SharedSlot::draw(&prepared, &mut hist, &mut normal, &mut rng);
+            let (x, d_log_lr) = slot.twisted(config.twist);
+            log_lr += d_log_lr;
             let y = transform.apply(x);
             q = (q + y - config.service).max(0.0);
             while next < m && config.stop_times[next] == i + 1 {

@@ -4,8 +4,10 @@
 use crate::special::erfc;
 use crate::{Marginal, MarginalError};
 
-/// Standard normal CDF `Φ(x)`, accurate to ~1e−13 across the real line
-/// (tails computed via `erfc` to avoid cancellation).
+/// Standard normal CDF `Φ(x)`, accurate to ~1e−14 relative across the
+/// real line (tails computed via the fdlibm [`erfc`] to avoid
+/// cancellation; the residual error is the rounding of `x/√2`, amplified
+/// by the tail's slope).
 pub fn norm_cdf(x: f64) -> f64 {
     let t = x / std::f64::consts::SQRT_2;
     if x >= 0.0 {
