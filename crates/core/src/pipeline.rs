@@ -6,10 +6,12 @@ use crate::hurst::{estimate_hurst, HurstEstimates, HurstOptions};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use svbr_lrd::acf::{
     Acf, CompensatedAcf, CompositeAcf, ExpTerm, ExponentialAcf, FgnAcf, TabulatedAcf,
 };
-use svbr_lrd::cache::{davies_harte_cached, hosking_coefficients, CachedHosking};
+use svbr_lrd::cache::{hosking_coefficients, CachedHosking};
 use svbr_lrd::davies_harte::{pd_project, DaviesHarte};
 use svbr_lrd::fft::Complex;
 use svbr_lrd::hosking::HoskingSampler;
@@ -250,10 +252,9 @@ impl UnifiedFit {
     /// sub-schedule rooted at `svbr_par::derive_seed(master_seed, j)`, with
     /// replication `i` drawing from `derive_seed(sub, i)`; per-replication
     /// sample ACFs are averaged in replication-index order, so the accepted
-    /// trajectory is **bit-identical for any thread count**. The
-    /// Davies–Harte eigenvalue setup is fetched from the process cache
-    /// ([`davies_harte_cached`]), so repeated refinements over the same
-    /// model skip the circulant FFT.
+    /// trajectory is **bit-identical for any thread count**. Each
+    /// iteration builds its Davies–Harte sampler once and shares it across
+    /// the workers.
     pub fn refine_attenuation_seeded(
         &mut self,
         opts: &RefineOptions,
@@ -264,7 +265,7 @@ impl UnifiedFit {
         let reps = opts.reps.max(1);
         let path_len = opts.path_len;
         self.refine_with(opts, |model, hi, iter_no| {
-            let dh = davies_harte_cached(model, path_len, 5e-2)?;
+            let dh = DaviesHarte::new_approx(model, path_len, 5e-2)?;
             let sub_seed = svbr_par::derive_seed(master_seed, iter_no as u64);
             let per_rep = svbr_par::par_map_blocks(reps, threads, |range| {
                 // Per-worker arena: the generate/transform buffers warm up
@@ -457,6 +458,7 @@ impl UnifiedFit {
             model,
             table,
             transform: GaussianTransform::new(self.marginal.clone()),
+            samplers: Arc::default(),
         })
     }
 }
@@ -496,6 +498,11 @@ pub struct UnifiedGenerator {
     /// PD projection of the model — consumed by Hosking's method.
     table: TabulatedAcf,
     transform: GaussianTransform<BinnedEmpirical>,
+    /// Davies–Harte samplers of `model`, keyed by embedding length and
+    /// built on first use. Lengths sharing an embedding share one entry, so
+    /// the map holds at most one per power of two up to `2·max_len`. Clones
+    /// share it: the model it is built from never changes.
+    samplers: Arc<Mutex<BTreeMap<usize, DaviesHarte>>>,
 }
 
 impl UnifiedGenerator {
@@ -525,6 +532,7 @@ impl UnifiedGenerator {
             model: BackgroundAcf::Table(background.clone()),
             table: background,
             transform: GaussianTransform::new(marginal),
+            samplers: Arc::default(),
         })
     }
 
@@ -577,6 +585,11 @@ impl UnifiedGenerator {
 
     /// Generate the background Gaussian path with the Davies–Harte
     /// circulant method (O(n log n)), embedding the smooth model ACF.
+    ///
+    /// The sampler for `n`'s embedding length is set up on first use and
+    /// reused by every later path of any length sharing it. Set-up draws no
+    /// randomness, so the path is bit-identical to a fresh
+    /// [`DaviesHarte::new_approx`] at the same RNG state.
     pub fn background_fast<R: Rng + ?Sized>(
         &self,
         n: usize,
@@ -588,7 +601,20 @@ impl UnifiedGenerator {
                 constraint: "n <= max_len()",
             });
         }
-        let dh = DaviesHarte::new_approx(&self.model, n, 5e-2)?;
+        let m = DaviesHarte::embedding_len(n);
+        let memo = || self.samplers.lock().unwrap_or_else(PoisonError::into_inner);
+        let cached = memo().get(&m).map(|dh| dh.with_len(n)).transpose()?;
+        let dh = match cached {
+            Some(dh) => dh,
+            None => {
+                // Built outside the lock so workers needing other lengths
+                // are not held up; a racing duplicate is identical, and the
+                // first insert wins.
+                let dh = DaviesHarte::new_approx(&self.model, n, 5e-2)?;
+                memo().entry(m).or_insert_with(|| dh.clone());
+                dh
+            }
+        };
         Ok(dh.generate(rng))
     }
 
@@ -601,12 +627,15 @@ impl UnifiedGenerator {
         fast: bool,
         rng: &mut R,
     ) -> Result<Vec<f64>, CoreError> {
-        let xs = if fast {
+        let mut xs = if fast {
             self.background_fast(n, rng)?
         } else {
             self.background_hosking(n, rng)?
         };
-        Ok(self.transform.apply_slice(&xs))
+        for x in &mut xs {
+            *x = self.transform.apply(*x);
+        }
+        Ok(xs)
     }
 }
 
@@ -813,15 +842,87 @@ mod tests {
         Ok(())
     }
 
+    fn memo_len(g: &UnifiedGenerator) -> usize {
+        g.samplers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn generator_respects_max_len() -> Result<(), Box<dyn std::error::Error>> {
         let fit = reference_fit()?;
         let g = fit.generator(BackgroundKind::SrdLrd, 256)?;
         assert_eq!(g.max_len(), 256);
         let mut rng = StdRng::seed_from_u64(3);
+        // Every length up to max_len leaves at most one sampler per
+        // embedding length: ⌈log₂(2·max_len)⌉ = 9 of them.
+        for n in 2..=256 {
+            assert_eq!(g.generate(n, true, &mut rng)?.len(), n);
+        }
+        assert!(memo_len(&g) <= 9, "{} samplers", memo_len(&g));
         assert!(g.generate(300, true, &mut rng).is_err());
-        assert!(g.generate(256, true, &mut rng).is_ok());
+        assert!(g.generate(257, true, &mut rng).is_err());
         assert!(g.generate(128, false, &mut rng).is_ok());
+        Ok(())
+    }
+
+    #[test]
+    fn memoised_fast_paths_match_fresh_samplers_bitwise() -> Result<(), Box<dyn std::error::Error>>
+    {
+        let fit = reference_fit()?;
+        let g = fit.generator(BackgroundKind::SrdLrd, 4096)?;
+        // Interleaved lengths, each seen twice; 600, 1000 and 1025 (the
+        // last length with 2(n−1) ≤ 2048) share the embedding length 2048.
+        let lens = [1000, 1, 4096, 600, 2, 1025, 1000, 600, 4096, 1, 1025, 2];
+        for (i, &n) in lens.iter().enumerate() {
+            let seed = 40 + i as u64;
+            let memoised = g.generate(n, true, &mut StdRng::seed_from_u64(seed))?;
+            let dh = DaviesHarte::new_approx(g.background_model(), n, 5e-2)?;
+            let fresh = dh.generate(&mut StdRng::seed_from_u64(seed));
+            let fresh = g.transform().apply_slice(&fresh);
+            assert_eq!(bits(&memoised), bits(&fresh), "n={n}");
+        }
+        // Embedding lengths 1, 2, 2048 and 8192.
+        assert_eq!(memo_len(&g), 4);
+        Ok(())
+    }
+
+    #[test]
+    fn fast_overflow_estimate_is_bit_identical_across_thread_counts(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        use svbr_marginal::Marginal;
+        let fit = reference_fit()?;
+        let mux = svbr_queue::Mux::new(fit.marginal.mean(), 0.6)?;
+        let run = |threads: usize| -> Result<svbr_queue::McEstimate, Box<dyn std::error::Error>> {
+            // A fresh generator per run: its workers race to build both
+            // embeddings (1000 → 2048, 1100 → 4096) from an empty memo.
+            let g = fit.generator(BackgroundKind::SrdLrd, 1100)?;
+            let est = svbr_queue::estimate_overflow_seeded(
+                |i, s| {
+                    let n = if i % 2 == 0 { 1000 } else { 1100 };
+                    g.generate(n, true, &mut StdRng::seed_from_u64(s))
+                        .unwrap_or_default()
+                },
+                23,
+                64,
+                1000,
+                mux.service_rate(),
+                mux.buffer(5.0),
+                threads,
+            )?;
+            assert_eq!(memo_len(&g), 2);
+            Ok(est)
+        };
+        let baseline = run(1)?;
+        assert!(baseline.p > 0.0, "p = {}", baseline.p);
+        for threads in [2usize, 8] {
+            assert_eq!(run(threads)?, baseline, "threads={threads}");
+        }
         Ok(())
     }
 

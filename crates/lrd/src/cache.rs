@@ -1,18 +1,16 @@
 //! Shared read-only precomputation caches for the generation hot paths.
 //!
 //! Replicated experiments (the paper runs up to 1000 replications per
-//! point in Figs. 14–17) repeat two expensive *sample-independent*
-//! computations per replication:
-//!
-//! * the Durbin–Levinson coefficient schedule (`φ_{k,·}` rows and
-//!   innovation variances `v_k`) behind Hosking's method — O(n²) time and
-//!   O(n²/2) memory, a function of the ACF alone;
-//! * the circulant eigenvalue vector behind [`DaviesHarte`] — one
-//!   O(n log n) FFT, again a function of the ACF alone.
-//!
-//! This module memoizes both behind process-global caches keyed by an
-//! [`acf_fingerprint`] (FNV-1a over the exact bit patterns of the lags
+//! point in Figs. 14–17) repeat the Durbin–Levinson coefficient schedule
+//! (`φ_{k,·}` rows and innovation variances `v_k`) behind Hosking's method
+//! per replication — O(n²) time and O(n²/2) memory, a function of the ACF
+//! alone. This module memoizes it behind a process-global cache keyed by
+//! an [`acf_fingerprint`] (FNV-1a over the exact bit patterns of the lags
 //! actually consumed) so concurrent replications share one `Arc`'d copy.
+//!
+//! Davies–Harte samplers are not cached here: the object that owns the
+//! model ACF keeps its own (`UnifiedGenerator` in `svbr-core`), which
+//! needs no fingerprint per lookup.
 //!
 //! **Memory cap and fallback.** A Hosking schedule costs
 //! `n(n+1)/2 + 2n` f64s. Entries beyond [`HOSKING_ENTRY_BYTES_CAP`] are
@@ -21,23 +19,21 @@
 //! streaming [`HoskingSampler`](crate::hosking::HoskingSampler) recursion
 //! (identical output — the schedule is the same arithmetic either way).
 //! When a cache's *total* footprint would exceed its cap
-//! ([`HOSKING_CACHE_BYTES_CAP`] / [`DAVIES_HARTE_CACHE_BYTES_CAP`]) the
+//! ([`HOSKING_CACHE_BYTES_CAP`] / [`FFT_PLAN_CACHE_BYTES_CAP`]) the
 //! cache is cleared wholesale before inserting — a crude but deterministic
 //! generation scheme that keeps the process footprint bounded without
 //! LRU bookkeeping on the hot path.
 //!
-//! Observability: `cache.hosking.{hit,miss,bypass}`,
-//! `cache.davies_harte.{hit,miss}`, and `cache.fft_plan.{hit,miss}`
-//! counters, plus `cache.hosking.bytes` / `cache.davies_harte.bytes` /
+//! Observability: `cache.hosking.{hit,miss,bypass}` and
+//! `cache.fft_plan.{hit,miss}` counters, plus `cache.hosking.bytes` /
 //! `cache.fft_plan.bytes` gauges tracking the resident footprint.
 //!
-//! A third cache memoizes the [`FftPlan`] (twiddle tables + bit-reversal
+//! A second cache memoizes the [`FftPlan`] (twiddle tables + bit-reversal
 //! permutation) keyed by transform length alone, so every Davies–Harte
 //! setup and per-path transform at one length shares a single plan.
 
 use crate::acf::Acf;
-use crate::davies_harte::DaviesHarte;
-use crate::fft::{next_power_of_two, FftPlan};
+use crate::fft::FftPlan;
 use crate::hosking::PreparedHosking;
 use crate::LrdError;
 use std::collections::BTreeMap;
@@ -50,10 +46,6 @@ pub const HOSKING_ENTRY_BYTES_CAP: usize = 64 << 20;
 /// Total resident cap for the Hosking schedule cache; exceeding it clears
 /// the cache before the next insert.
 pub const HOSKING_CACHE_BYTES_CAP: usize = 192 << 20;
-
-/// Total resident cap for the Davies–Harte eigenvalue cache (entries are
-/// O(n) so this is generous).
-pub const DAVIES_HARTE_CACHE_BYTES_CAP: usize = 32 << 20;
 
 /// Total resident cap for the FFT-plan cache. Plans are keyed by transform
 /// length alone and cost ~48 bytes per point, so this holds every length
@@ -94,7 +86,6 @@ pub enum CachedHosking {
 // pass's `det-unordered-collection` rule holds these crates to that), and
 // the key tuples are already `Ord`.
 type HoskingCache = Cache<(u64, usize), Arc<PreparedHosking>>;
-type DhCache = Cache<(u64, usize, u64), Arc<DaviesHarte>>;
 type PlanCache = Cache<usize, Arc<FftPlan>>;
 
 struct Cache<K: Ord, V> {
@@ -139,11 +130,6 @@ fn hosking_cache() -> &'static Mutex<HoskingCache> {
     CACHE.get_or_init(|| Mutex::new(Cache::empty()))
 }
 
-fn dh_cache() -> &'static Mutex<DhCache> {
-    static CACHE: OnceLock<Mutex<DhCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Cache::empty()))
-}
-
 fn plan_cache() -> &'static Mutex<PlanCache> {
     static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(Cache::empty()))
@@ -153,11 +139,6 @@ fn plan_cache() -> &'static Mutex<PlanCache> {
 /// `v` and `phi_sum` vectors.
 fn hosking_entry_bytes(n: usize) -> usize {
     (n * (n + 1) / 2 + 2 * n) * std::mem::size_of::<f64>()
-}
-
-/// Bytes held by one eigenvalue vector (`m = 2^⌈log₂ 2(n−1)⌉` scales).
-fn dh_entry_bytes(n: usize) -> usize {
-    next_power_of_two(2 * n.max(2)) * std::mem::size_of::<f64>()
 }
 
 /// Dimensional view of the flat `cache.<backend>.hit/miss` counters: one
@@ -216,49 +197,6 @@ pub fn hosking_coefficients<A: Acf>(acf: &A, n: usize) -> Result<CachedHosking, 
     Ok(CachedHosking::Shared(prepared))
 }
 
-/// Look up (or build and insert) the Davies–Harte sampler for
-/// `(acf, n, rel_tol)` — see [`DaviesHarte::new_approx`] for `rel_tol`.
-///
-/// The eigenvalue/FFT-plan state is a pure function of the ACF over the
-/// circulant lags and of `n`, so replications and repeated generator
-/// constructions share one `Arc`'d sampler.
-pub fn davies_harte_cached<A: Acf>(
-    acf: &A,
-    n: usize,
-    rel_tol: f64,
-) -> Result<Arc<DaviesHarte>, LrdError> {
-    // The circulant row reads lags 0..=m/2; fingerprint exactly those so
-    // ACFs differing only beyond the consumed range cannot collide.
-    let half = if n <= 1 {
-        1
-    } else {
-        next_power_of_two(2 * (n - 1)).max(2) / 2 + 1
-    };
-    let key = (acf_fingerprint(acf, half), n, rel_tol.to_bits());
-    {
-        let cache = dh_cache().lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = cache.map.get(&key) {
-            svbr_obsv::counter("cache.davies_harte.hit").add(1);
-            observe_lookup("davies_harte", "hit");
-            return Ok(Arc::clone(hit));
-        }
-    }
-    svbr_obsv::counter("cache.davies_harte.miss").add(1);
-    observe_lookup("davies_harte", "miss");
-    let dh = Arc::new(DaviesHarte::new_approx(acf, n, rel_tol)?);
-    let mut cache = dh_cache().lock().unwrap_or_else(PoisonError::into_inner);
-    let resident = insert_bounded(
-        &mut cache,
-        key,
-        Arc::clone(&dh),
-        dh_entry_bytes(n),
-        DAVIES_HARTE_CACHE_BYTES_CAP,
-        &svbr_obsv::counter("cache.davies_harte.evictions"),
-    );
-    svbr_obsv::gauge("cache.davies_harte.bytes").set(resident as f64);
-    Ok(dh)
-}
-
 /// Look up (or build and insert) the [`FftPlan`] for transforms of length
 /// `n`. The plan is a pure function of the length, so every Davies–Harte
 /// setup, replication fan-out, and serve chunk generator targeting the same
@@ -275,7 +213,7 @@ pub fn fft_plan(n: usize) -> Arc<FftPlan> {
             return Arc::clone(hit);
         }
     }
-    // Built outside the lock, like the other caches: planning is O(n) but
+    // Built outside the lock, like the Hosking cache: planning is O(n) but
     // a racing duplicate insert is harmless (identical tables).
     svbr_obsv::counter("cache.fft_plan.miss").add(1);
     observe_lookup("fft_plan", "miss");
@@ -357,24 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn davies_harte_cache_shares_and_matches_uncached() -> Result<(), Box<dyn std::error::Error>> {
-        let acf = FgnAcf::new(0.72)?;
-        let a = davies_harte_cached(&acf, 256, 0.0)?;
-        let b = davies_harte_cached(&acf, 256, 0.0)?;
-        assert!(Arc::ptr_eq(&a, &b));
-        // Identical output to a freshly built sampler at the same seed.
-        let fresh = DaviesHarte::new(acf, 256)?;
-        let mut r1 = StdRng::seed_from_u64(9);
-        let mut r2 = StdRng::seed_from_u64(9);
-        assert_eq!(a.generate(&mut r1), fresh.generate(&mut r2));
-        // Different rel_tol is a different key (may differ in eigenvalue
-        // clamping), and must not alias.
-        let c = davies_harte_cached(&acf, 256, 1e-2)?;
-        assert!(!Arc::ptr_eq(&a, &c));
-        Ok(())
-    }
-
-    #[test]
     fn fft_plan_cache_shares_and_matches_fresh_plan() {
         let a = fft_plan(512);
         let b = fft_plan(512);
@@ -400,7 +320,6 @@ mod tests {
         assert_eq!(hosking_entry_bytes(0), 0);
         assert_eq!(hosking_entry_bytes(1), 24);
         assert!(hosking_entry_bytes(4090) <= HOSKING_ENTRY_BYTES_CAP);
-        assert!(dh_entry_bytes(1024) >= 2048 * 8);
     }
 
     /// Largest horizon whose schedule still fits the per-entry cap.

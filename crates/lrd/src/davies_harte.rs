@@ -46,8 +46,10 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DaviesHarte {
-    /// `sqrt(λ_j / m)` for each circulant eigenvalue.
-    scale: Vec<f64>,
+    /// `sqrt(λ_j / m)` for each circulant eigenvalue. A function of the
+    /// ACF and the embedding length `m` alone, so samplers whose lengths
+    /// share `m` share this vector (see [`Self::with_len`]).
+    scale: Arc<[f64]>,
     /// Number of usable samples per generated path.
     n: usize,
     /// Shared FFT plan for the length-`m` per-path transform (bitwise
@@ -90,14 +92,14 @@ impl DaviesHarte {
                 constraint: "n >= 1",
             });
         }
+        let m = Self::embedding_len(n);
         if n == 1 {
             return Ok(Self {
-                scale: vec![1.0],
+                scale: Arc::new([1.0]),
                 n,
-                plan: crate::cache::fft_plan(1),
+                plan: crate::cache::fft_plan(m),
             });
         }
-        let m = next_power_of_two(2 * (n - 1)).max(2);
         let half = m / 2;
         let mut row = vec![Complex::default(); m];
         for (j, item) in row.iter_mut().enumerate().take(half + 1) {
@@ -132,6 +134,37 @@ impl DaviesHarte {
         // so committed fixed-seed traces are unchanged.
         let plan = crate::cache::fft_plan(m);
         Ok(Self { scale, n, plan })
+    }
+
+    /// Circulant embedding length `m` used for `n`-sample paths: the
+    /// smallest power of two `≥ 2(n−1)` (and 1 for a single sample). The
+    /// eigenvalues depend on the ACF and `m` only, never on `n` itself.
+    pub fn embedding_len(n: usize) -> usize {
+        if n <= 1 {
+            1
+        } else {
+            next_power_of_two(2 * (n - 1)).max(2)
+        }
+    }
+
+    /// A sampler for `n`-sample paths sharing this one's eigenvalues.
+    ///
+    /// Valid when `n` has the same [`Self::embedding_len`]; the result is
+    /// then identical to building a fresh sampler for `n` from the same
+    /// ACF and tolerance (same values, same RNG consumption), without the
+    /// ACF evaluation, eigenvalue FFT and square roots.
+    pub fn with_len(&self, n: usize) -> Result<Self, LrdError> {
+        if n == 0 || Self::embedding_len(n) != self.scale.len() {
+            return Err(LrdError::InvalidParameter {
+                name: "n",
+                constraint: "n >= 1 with the sampler's embedding length",
+            });
+        }
+        Ok(Self {
+            scale: Arc::clone(&self.scale),
+            n,
+            plan: Arc::clone(&self.plan),
+        })
     }
 
     /// Number of samples each generated path contains.
@@ -427,6 +460,26 @@ mod tests {
             let (out_cap, scratch_cap) = (out.capacity(), scratch.capacity());
             assert!(out_cap >= 300 && scratch_cap >= 512);
         }
+        Ok(())
+    }
+
+    #[test]
+    fn with_len_matches_a_fresh_sampler_bitwise() -> Result<(), Box<dyn std::error::Error>> {
+        let acf = CompositeAcf::paper_fit();
+        // 600 through 1025 share the embedding length 2048; 1026 does not.
+        let dh = DaviesHarte::new_approx(&acf, 1000, 5e-2)?;
+        for n in [600, 1000, 1025] {
+            let shared = dh.with_len(n)?;
+            let fresh = DaviesHarte::new_approx(&acf, n, 5e-2)?;
+            let mut r1 = StdRng::seed_from_u64(n as u64);
+            let mut r2 = StdRng::seed_from_u64(n as u64);
+            assert_eq!(shared.len(), n);
+            assert_eq!(shared.generate(&mut r1), fresh.generate(&mut r2), "n={n}");
+        }
+        assert!(dh.with_len(1026).is_err());
+        assert!(dh.with_len(0).is_err());
+        let one = DaviesHarte::new(FgnAcf::new(0.7)?, 1)?;
+        assert!(one.with_len(1).is_ok() && one.with_len(2).is_err());
         Ok(())
     }
 

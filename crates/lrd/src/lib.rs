@@ -19,8 +19,8 @@
 //!   circulant embedding is nonnegative definite.
 //! * [`cache`] — process-global, `Arc`-shared caches for the
 //!   sample-independent precomputations (Hosking's Durbin–Levinson
-//!   coefficient schedule, the Davies–Harte eigenvalue vector), memory
-//!   capped with a documented fallback to the streaming recursion.
+//!   coefficient schedule, FFT plans), memory capped with a documented
+//!   fallback to the streaming recursion.
 //! * [`fft`] — a self-contained radix-2 complex FFT (no external deps),
 //!   with a precomputed [`fft::FftPlan`] (twiddles + bit-reversal) for
 //!   repeated same-length transforms.
@@ -63,9 +63,7 @@ pub mod tes;
 pub use acf::{
     Acf, CompositeAcf, ExponentialAcf, FarimaAcf, FgnAcf, LagScaledAcf, PowerLawAcf, ScaledAcf,
 };
-pub use cache::{
-    acf_fingerprint, davies_harte_cached, fft_plan, hosking_coefficients, CachedHosking,
-};
+pub use cache::{acf_fingerprint, fft_plan, hosking_coefficients, CachedHosking};
 pub use davies_harte::{pd_project, DaviesHarte};
 pub use fft::FftPlan;
 pub use hosking::{
