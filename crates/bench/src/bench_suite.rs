@@ -165,8 +165,9 @@ fn suite(quick: bool) -> Vec<CaseSpec> {
             threads: 1,
         },
         // The planned radix-2 FFT alone (twiddles + bit-reversal
-        // precomputed once, forward+inverse round trip per iteration) —
-        // the kernel every Davies–Harte generation call runs.
+        // precomputed once, forward+inverse round trip per iteration) at
+        // full length n. Davies–Harte generation runs this kernel at half
+        // its embedding length, plus an O(m) fold.
         CaseSpec {
             name: "fft_planned",
             n: scale(65_536, 8192),

@@ -16,9 +16,9 @@ use crate::pipeline::{UnifiedFit, UnifiedOptions};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use svbr_lrd::acf::{LagScaledAcf, TabulatedAcf};
+use svbr_lrd::acf::{CompensatedAcf, LagScaledAcf, TabulatedAcf};
 use svbr_lrd::cache::{hosking_coefficients, CachedHosking};
-use svbr_lrd::davies_harte::{pd_project, DaviesHarte};
+use svbr_lrd::davies_harte::{pd_project, pd_project_table, DaviesHarte};
 use svbr_lrd::hosking::HoskingSampler;
 use svbr_marginal::transform::GaussianTransform;
 use svbr_marginal::{BinnedEmpirical, TabulatedEmpirical};
@@ -103,14 +103,23 @@ impl CompositeVideoFit {
 
     /// Step 2 (§3.3): the per-frame background ACF — the I-frame composite
     /// fit, attenuation-compensated, with its lag axis stretched by the GOP
-    /// period (eq. 15) — projected onto the PD cone for generation.
+    /// period (eq. 15) — projected onto the PD cone for generation. The
+    /// table carries its circulant, so importance sampling draws exact
+    /// paths from it by FFT.
     pub fn background_table(&self, max_len: usize) -> Result<TabulatedAcf, CoreError> {
+        Ok(pd_project(&self.background_model()?, max_len)?)
+    }
+
+    /// The smooth per-frame background model the table projects.
+    fn background_model(&self) -> Result<LagScaledAcf<CompensatedAcf>, CoreError> {
         let compensated = self
             .i_fit
             .composite_acf()?
             .compensate(self.i_fit.attenuation)?;
-        let scaled = LagScaledAcf::new(compensated, self.pattern.period() as f64)?;
-        Ok(pd_project(&scaled, max_len)?)
+        Ok(LagScaledAcf::new(
+            compensated,
+            self.pattern.period() as f64,
+        )?)
     }
 
     /// Generate a synthetic composite trace of `n` frames: one background
@@ -187,17 +196,13 @@ impl CompositeVideoFit {
         fast: bool,
         rng: &mut R,
     ) -> Result<Vec<f64>, CoreError> {
+        let model = self.background_model()?;
         if fast {
             // Embed the smooth rescaled model directly — a truncated table
             // would put a discontinuity into the circulant first row.
-            let compensated = self
-                .i_fit
-                .composite_acf()?
-                .compensate(self.i_fit.attenuation)?;
-            let scaled = LagScaledAcf::new(compensated, self.pattern.period() as f64)?;
-            Ok(DaviesHarte::new_approx(&scaled, n, 5e-2)?.generate(rng))
+            Ok(DaviesHarte::new_approx(&model, n, 5e-2)?.generate(rng))
         } else {
-            let table = self.background_table(n.max(2))?;
+            let table = pd_project_table(&model, n.max(2))?;
             match hosking_coefficients(&table, n)? {
                 CachedHosking::Shared(prepared) => Ok(prepared.sample_path(rng)),
                 // Horizon past the cache's memory cap: stream the recursion.
@@ -349,6 +354,8 @@ mod tests {
         );
         // And it decays slowly — LRD carried through the rescaling.
         assert!(table.r(500) > 0.05);
+        // The table keeps its circulant for importance sampling.
+        assert_eq!(table.embedding().map(|e| e.exact_lags()), Some(600));
         Ok(())
     }
 

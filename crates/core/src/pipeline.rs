@@ -12,7 +12,7 @@ use svbr_lrd::acf::{
     Acf, CompensatedAcf, CompositeAcf, ExpTerm, ExponentialAcf, FgnAcf, TabulatedAcf,
 };
 use svbr_lrd::cache::{hosking_coefficients, CachedHosking};
-use svbr_lrd::davies_harte::{pd_project, DaviesHarte};
+use svbr_lrd::davies_harte::{pd_project, pd_project_table, DaviesHarte};
 use svbr_lrd::fft::Complex;
 use svbr_lrd::hosking::HoskingSampler;
 use svbr_marginal::transform::GaussianTransform;
@@ -436,7 +436,8 @@ impl UnifiedFit {
 
     /// The Step-4 background ACF as a positive-definite table valid for
     /// traces up to `max_len` samples (what Hosking's method consumes; see
-    /// `svbr_lrd::davies_harte::pd_project`).
+    /// `svbr_lrd::davies_harte::pd_project`). The table carries its
+    /// circulant, so importance sampling draws exact paths from it by FFT.
     pub fn background_table(
         &self,
         kind: BackgroundKind,
@@ -453,7 +454,10 @@ impl UnifiedFit {
         max_len: usize,
     ) -> Result<UnifiedGenerator, CoreError> {
         let model = self.background_model(kind)?;
-        let table = pd_project(&model, max_len)?;
+        // The long table feeds Hosking's method only (fast paths embed the
+        // smooth model), so it is built without its circulant: 8·m bytes
+        // for m ≥ 4(max_len − 1).
+        let table = pd_project_table(&model, max_len)?;
         Ok(UnifiedGenerator {
             model,
             table,
@@ -868,6 +872,30 @@ mod tests {
         assert!(g.generate(300, true, &mut rng).is_err());
         assert!(g.generate(257, true, &mut rng).is_err());
         assert!(g.generate(128, false, &mut rng).is_ok());
+        Ok(())
+    }
+
+    #[test]
+    fn only_importance_sampling_tables_carry_their_circulant(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let fit = reference_fit()?;
+        for kind in [
+            BackgroundKind::SrdLrd,
+            BackgroundKind::SrdOnly,
+            BackgroundKind::LrdOnly,
+        ] {
+            let table = fit.background_table(kind, 500)?;
+            let e = table
+                .embedding()
+                .ok_or("background_table keeps its circulant")?;
+            assert_eq!(e.exact_lags(), 500);
+            // The generator's long table has the same values, no spectrum.
+            let g = fit.generator(kind, 500)?;
+            assert!(g.background_acf().embedding().is_none());
+            for k in 0..500 {
+                assert_eq!(g.background_acf().r(k).to_bits(), table.r(k).to_bits());
+            }
+        }
         Ok(())
     }
 

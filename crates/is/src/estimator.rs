@@ -1,12 +1,14 @@
 //! The IS replication loop and replicated estimator (§4 procedure,
 //! steps 1–8).
 
+use crate::path::{PathSource, SharedSlot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use svbr_domain::SvbrError;
 use svbr_lrd::acf::Acf;
+use svbr_lrd::fft::Complex;
 use svbr_lrd::gauss::Normal;
-use svbr_lrd::hosking::PreparedHosking;
 use svbr_marginal::transform::GaussianTransform;
 use svbr_marginal::Marginal;
 
@@ -163,55 +165,6 @@ impl IsEstimate {
     }
 }
 
-/// One slot of the untwisted Durbin–Levinson path, carrying everything a
-/// twist needs (see the crate docs): under twist `m*` the slot's background
-/// value is `x0 + m*`, and its log-likelihood-ratio increment depends only
-/// on the innovation `ε`, the conditional variance `v` and `s = 1 − Σφ`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SharedSlot {
-    x0: f64,
-    eps: f64,
-    var: f64,
-    s: f64,
-}
-
-impl SharedSlot {
-    /// Draw the next slot of the untwisted path (slot `hist.len()`) and
-    /// append its value to `hist` — one O(k) dot product for every twist.
-    pub(crate) fn draw<R: Rng + ?Sized>(
-        prepared: &PreparedHosking,
-        hist: &mut Vec<f64>,
-        normal: &mut Normal,
-        rng: &mut R,
-    ) -> Self {
-        let m = prepared.moments(hist.len(), hist);
-        let eps = normal.sample(rng) * m.var.sqrt();
-        let x0 = m.mean + eps;
-        hist.push(x0);
-        Self {
-            x0,
-            eps,
-            var: m.var,
-            s: 1.0 - m.phi_sum,
-        }
-    }
-
-    /// The twisted background value `x0 + m*` and the log-likelihood-ratio
-    /// increment `−shift·(2ε + shift)/(2v)`, `shift = m*·(1 − Σφ)`, of this
-    /// slot under twist `m*`.
-    #[inline]
-    pub(crate) fn twisted(&self, twist: f64) -> (f64, f64) {
-        let shift = twist * self.s;
-        // svbr-lint: allow(float-eq) exact zero: untwisted replications must skip the LR update entirely
-        let d_log_lr = if shift != 0.0 {
-            -(shift * (2.0 * self.eps + shift) / (2.0 * self.var))
-        } else {
-            0.0
-        };
-        (self.x0 + twist, d_log_lr)
-    }
-}
-
 /// Running state of one twist inside [`IsEstimator::replicate_twists`].
 #[derive(Debug, Clone, Copy)]
 struct TwistLane {
@@ -224,25 +177,29 @@ struct TwistLane {
 }
 
 /// Reusable per-replication buffers for [`IsEstimator::replicate_twists`]:
-/// the untwisted path's history, the per-twist state, and the per-twist
-/// outcomes. Create one per worker and pass it to every replication, so
-/// the slot loop never allocates.
+/// the untwisted path, the circulant sampler's spectrum, the per-twist
+/// state, and the per-twist outcomes. Create one per worker and pass it to
+/// every replication, so the slot loop never allocates.
 #[derive(Debug, Default, Clone)]
 pub struct IsScratch {
     hist: Vec<f64>,
+    spectrum: Vec<Complex>,
     lanes: Vec<TwistLane>,
     out: Vec<IsReplication>,
 }
 
 /// The IS estimator for a fixed system configuration.
 ///
-/// Construction runs the Durbin–Levinson recursion once
-/// ([`PreparedHosking`]); each replication then costs O(slots²) in dot
-/// products only — and early termination (step 5 of the paper's procedure)
-/// usually keeps `slots ≪ horizon` at a good twist.
+/// Construction prepares the path source once (crate docs, "Where the
+/// path comes from"): the background's carried circulant plus the rows
+/// `g_τ = Σ_τ⁻¹·1_τ` when its ACF has one exact over the horizon, the
+/// Durbin–Levinson rows `φ_τ` otherwise. A replication then costs one
+/// half-length FFT, or O(slots²) dot products whose early termination
+/// (step 5 of the paper's procedure) usually keeps `slots ≪ horizon` at a
+/// good twist. Clones share the source.
 #[derive(Debug, Clone)]
 pub struct IsEstimator<M> {
-    prepared: PreparedHosking,
+    source: Arc<PathSource>,
     transform: GaussianTransform<M>,
     service: f64,
     buffer: f64,
@@ -285,7 +242,7 @@ impl<M: Marginal> IsEstimator<M> {
             return Err(SvbrError::NotFinite { name: "buffer" });
         }
         Ok(Self {
-            prepared: PreparedHosking::new(acf, horizon).map_err(SvbrError::from)?,
+            source: Arc::new(PathSource::new(acf, horizon)?),
             transform,
             service,
             buffer,
@@ -296,7 +253,7 @@ impl<M: Marginal> IsEstimator<M> {
 
     /// The horizon `k`.
     pub fn horizon(&self) -> usize {
-        self.prepared.len()
+        self.source.len()
     }
 
     /// The twist `m*`.
@@ -304,14 +261,13 @@ impl<M: Marginal> IsEstimator<M> {
         self.twist
     }
 
-    /// Clone with a different twist (sharing nothing mutable; the prepared
-    /// recursion is cloned).
+    /// Clone with a different twist, sharing the prepared path source.
     pub fn with_twist(&self, twist: f64) -> Self
     where
         M: Clone,
     {
         Self {
-            prepared: self.prepared.clone(),
+            source: Arc::clone(&self.source),
             transform: self.transform.clone(),
             service: self.service,
             buffer: self.buffer,
@@ -332,29 +288,35 @@ impl<M: Marginal> IsEstimator<M> {
     }
 
     /// Run one replication under every twist in `twists` at once, on one
-    /// shared untwisted Durbin–Levinson path, and return one outcome per
-    /// twist (in `twists` order; the estimator's own twist is not used).
+    /// shared untwisted path, and return one outcome per twist (in
+    /// `twists` order; the estimator's own twist is not used).
     ///
-    /// Each slot draws `ε_i` and computes the untwisted `x0_i` with one dot
-    /// product. Every twist still running then takes `x0_i + m*` as its
-    /// background value, adds its log-likelihood-ratio increment, and
-    /// applies the transform and its first-passage or Lindley step. The
-    /// replication stops when every twist has ended. All twists see the
-    /// same innovations: common random numbers.
+    /// The path `x0` comes from the estimator's source: drawn slot by slot
+    /// by the Durbin–Levinson recursion (one dot product per slot, the
+    /// log-likelihood ratio accumulated per slot), or whole by one FFT of
+    /// the carried circulant (the log-likelihood ratio scored in closed
+    /// form at the stopping time). Every twist still running takes
+    /// `x0_i + m*` as its background value and applies the transform and
+    /// its first-passage or Lindley step. The replication stops when every
+    /// twist has ended. All twists see the same path: common random
+    /// numbers.
     pub fn replicate_twists<'s, R: Rng + ?Sized>(
         &self,
         twists: &[f64],
         rng: &mut R,
         scratch: &'s mut IsScratch,
     ) -> &'s [IsReplication] {
-        let horizon = self.prepared.len();
+        let horizon = self.horizon();
         let initial = match self.event {
             IsEvent::LevelAtHorizon { initial } => initial,
             IsEvent::FirstPassage => 0.0,
         };
-        let IsScratch { hist, lanes, out } = scratch;
-        hist.clear();
-        hist.reserve(horizon);
+        let IsScratch {
+            hist,
+            spectrum,
+            lanes,
+            out,
+        } = scratch;
         lanes.clear();
         lanes.extend(twists.iter().map(|&twist| TwistLane {
             twist,
@@ -372,58 +334,119 @@ impl<M: Marginal> IsEstimator<M> {
                 slots_used: horizon,
             },
         );
-        let mut normal = Normal::new();
         let mut live = twists.len();
-        for i in 0..horizon {
-            if live == 0 {
-                break;
-            }
-            let slot = SharedSlot::draw(&self.prepared, hist, &mut normal, rng);
-            for (lane, rep) in lanes.iter_mut().zip(out.iter_mut()) {
-                if !lane.live {
-                    continue;
+        match &*self.source {
+            PathSource::Recursion(prepared) => {
+                hist.clear();
+                hist.reserve(horizon);
+                let mut normal = Normal::new();
+                for i in 0..horizon {
+                    if live == 0 {
+                        break;
+                    }
+                    let slot = SharedSlot::draw(prepared, hist, &mut normal, rng);
+                    self.advance(
+                        lanes,
+                        out,
+                        &mut live,
+                        i,
+                        |twist| slot.twisted(twist),
+                        |lane, _| lane.log_lr,
+                    );
                 }
-                let (x, d_log_lr) = slot.twisted(lane.twist);
-                lane.log_lr += d_log_lr;
-                debug_assert!(
-                    lane.log_lr.is_finite(),
-                    "likelihood-ratio accumulator left the finite range at slot {i}"
-                );
-                let y = self.transform.apply(x);
-                match self.event {
-                    IsEvent::FirstPassage => {
-                        lane.level += y - self.service;
-                        if lane.level > self.buffer {
-                            lane.live = false;
-                            live -= 1;
-                            *rep = IsReplication {
-                                hit: true,
-                                weight: lane.log_lr.exp(),
-                                log_lr: lane.log_lr,
-                                slots_used: i + 1,
-                            };
-                        }
+                self.settle(lanes, out, |lane| lane.log_lr);
+            }
+            PathSource::Circulant(paths) => {
+                paths.sampler.generate_into(rng, hist, spectrum);
+                let x0 = &hist[..];
+                for (i, &x) in x0.iter().enumerate() {
+                    if live == 0 {
+                        break;
                     }
-                    IsEvent::LevelAtHorizon { .. } => {
-                        lane.level = (lane.level + y - self.service).max(0.0);
-                    }
+                    self.advance(
+                        lanes,
+                        out,
+                        &mut live,
+                        i,
+                        |twist| (x + twist, 0.0),
+                        |lane, tau| paths.score(&x0[..tau]).log_lr(lane.twist),
+                    );
+                }
+                if live > 0 {
+                    let score = paths.score(x0);
+                    self.settle(lanes, out, |lane| score.log_lr(lane.twist));
                 }
             }
         }
+        out
+    }
+
+    /// Advance every live lane by slot `i`: `slot(m*)` is the lane's
+    /// twisted background value and log-LR increment. A lane that crosses
+    /// the buffer stops there with log-LR `stopped(lane, i + 1)`.
+    #[inline]
+    fn advance(
+        &self,
+        lanes: &mut [TwistLane],
+        out: &mut [IsReplication],
+        live: &mut usize,
+        i: usize,
+        slot: impl Fn(f64) -> (f64, f64),
+        stopped: impl Fn(&TwistLane, usize) -> f64,
+    ) {
+        for (lane, rep) in lanes.iter_mut().zip(out.iter_mut()) {
+            if !lane.live {
+                continue;
+            }
+            let (x, d_log_lr) = slot(lane.twist);
+            lane.log_lr += d_log_lr;
+            debug_assert!(
+                lane.log_lr.is_finite(),
+                "likelihood-ratio accumulator left the finite range at slot {i}"
+            );
+            let y = self.transform.apply(x);
+            match self.event {
+                IsEvent::FirstPassage => {
+                    lane.level += y - self.service;
+                    if lane.level > self.buffer {
+                        lane.live = false;
+                        *live -= 1;
+                        let log_lr = stopped(lane, i + 1);
+                        *rep = IsReplication {
+                            hit: true,
+                            weight: log_lr.exp(),
+                            log_lr,
+                            slots_used: i + 1,
+                        };
+                    }
+                }
+                IsEvent::LevelAtHorizon { .. } => {
+                    lane.level = (lane.level + y - self.service).max(0.0);
+                }
+            }
+        }
+    }
+
+    /// Close every lane that ran to the horizon — a first-passage miss, or
+    /// the level test — with log-LR `log_lr(lane)`.
+    fn settle(
+        &self,
+        lanes: &[TwistLane],
+        out: &mut [IsReplication],
+        log_lr: impl Fn(&TwistLane) -> f64,
+    ) {
         for (lane, rep) in lanes.iter().zip(out.iter_mut()) {
             if !lane.live {
                 continue;
             }
-            // Ran to the horizon: a first-passage miss, or the level test.
             let hit = match self.event {
                 IsEvent::FirstPassage => false,
                 IsEvent::LevelAtHorizon { .. } => lane.level > self.buffer,
             };
             rep.hit = hit;
-            rep.weight = if hit { lane.log_lr.exp() } else { 0.0 };
-            rep.log_lr = lane.log_lr;
+            rep.log_lr = log_lr(lane);
+            rep.weight = if hit { rep.log_lr.exp() } else { 0.0 };
         }
-        out
     }
 
     /// Run `n` replications sequentially.
@@ -500,7 +523,7 @@ impl<M: Marginal> IsEstimator<M> {
             &[
                 ("twist", twist),
                 ("buffer", self.buffer),
-                ("horizon", self.prepared.len() as f64),
+                ("horizon", self.horizon() as f64),
                 ("n", nf),
                 ("p", est.p),
                 ("hits", acc.hits as f64),
@@ -771,7 +794,10 @@ mod tests {
         twist: f64,
         rng: &mut R,
     ) -> IsReplication {
-        let horizon = est.prepared.len();
+        let PathSource::Recursion(prepared) = &*est.source else {
+            panic!("the oracle drives the Durbin–Levinson source");
+        };
+        let horizon = prepared.len();
         let mut normal = Normal::new();
         let mut hist: Vec<f64> = Vec::with_capacity(horizon);
         let mut log_lr = 0.0f64;
@@ -780,7 +806,7 @@ mod tests {
             IsEvent::FirstPassage => 0.0,
         };
         for i in 0..horizon {
-            let m = est.prepared.moments(i, &hist);
+            let m = prepared.moments(i, &hist);
             let shift = twist * (1.0 - m.phi_sum);
             let eps = normal.sample(rng) * m.var.sqrt();
             let x = m.mean + shift + eps;
@@ -931,6 +957,78 @@ mod tests {
         assert!(est
             .replicate_twists(&[], &mut StdRng::seed_from_u64(0), &mut scratch)
             .is_empty());
+    }
+
+    /// The paper's composite background as a projected table of `k` lags,
+    /// with (`embedded`) or without its carried circulant, under a
+    /// standard-normal foreground.
+    fn composite_system(
+        k: usize,
+        embedded: bool,
+        twist: f64,
+    ) -> Result<IsEstimator<NormalDist>, Box<dyn std::error::Error>> {
+        let acf = svbr_lrd::CompositeAcf::paper_fit();
+        let table = if embedded {
+            svbr_lrd::pd_project(acf, k)?
+        } else {
+            svbr_lrd::pd_project_table(acf, k)?
+        };
+        let est = IsEstimator::new(
+            table,
+            k,
+            GaussianTransform::new(NormalDist::standard()),
+            0.5,
+            12.0,
+            twist,
+            IsEvent::FirstPassage,
+        )?;
+        let circulant = matches!(*est.source, PathSource::Circulant(_));
+        assert_eq!(circulant, embedded);
+        Ok(est)
+    }
+
+    #[test]
+    fn embedded_estimator_agrees_with_recursion() -> Result<(), Box<dyn std::error::Error>> {
+        // Same table values, two path sources: circulant paths scored in
+        // closed form, and the Durbin–Levinson recursion. Different random
+        // streams, so the estimates agree within their errors.
+        for twist in [0.0, 0.4] {
+            let fft = composite_system(150, true, twist)?.run_parallel(20_000, 5, 2);
+            let dl = composite_system(150, false, twist)?.run_parallel(20_000, 6, 2);
+            let tol = 4.0 * (fft.std_err() + dl.std_err());
+            assert!(
+                fft.hits > 100 && dl.hits > 100,
+                "hits {} / {}",
+                fft.hits,
+                dl.hits
+            );
+            assert!(
+                (fft.p - dl.p).abs() < tol,
+                "twist {twist}: circulant {} vs recursion {} (tol {tol})",
+                fft.p,
+                dl.p
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn embedded_batched_runs_reproduce_one_master_schedule(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let est = composite_system(120, true, 0.5)?;
+        let full = est.run_parallel(100, 13, 4);
+        assert!(full.hits > 0 && full.hits < 100, "hits {}", full.hits);
+        let head = est.run_parallel_from(60, 13, 0, 2);
+        let tail = est.run_parallel_from(40, 13, 60, 8);
+        assert_eq!(head.hits + tail.hits, full.hits);
+        let merged = head.merge(&tail);
+        assert_eq!(merged.n, full.n);
+        assert!((merged.p - full.p).abs() <= 1e-12 * full.p);
+        assert!((merged.mean_slots - full.mean_slots).abs() < 1e-9);
+        // A clone at another twist shares the prepared source.
+        let other = est.with_twist(1.0);
+        assert!(Arc::ptr_eq(&est.source, &other.source));
+        Ok(())
     }
 
     #[test]

@@ -55,12 +55,47 @@
 //! valley ([`valley_search`]) come from the twist, not from independent
 //! noise. In floating point, `x0_i + m*` and the twisted recursion differ
 //! by rounding only; DESIGN §5 measures the effect.
+//!
+//! ## Where the path comes from
+//!
+//! An estimator prepares one of two path sources, chosen from the
+//! background ACF alone (no knob, no horizon threshold):
+//!
+//! * **Exact circulant paths.** A table from
+//!   [`svbr_lrd::pd_project`] carries the nonnegative circulant it was cut
+//!   from ([`svbr_lrd::acf::Acf::embedding`]): its first `k` lags *are*
+//!   the table, so one Davies–Harte draw from it
+//!   ([`svbr_lrd::DaviesHarte::from_embedding`], one half-length FFT) is
+//!   an exact sample of `x0` over the whole horizon. The log-likelihood
+//!   ratio of twist `m*` at stopping time `τ` is then the log ratio of two
+//!   Gaussian densities of `x0 + m*`,
+//!
+//!   ```text
+//!   ln L_τ = −m*·g_τᵀ·x0[..τ] − ½·m*²·G_τ,   g_τ = Σ_τ⁻¹·1_τ,  G_τ = g_τᵀ·1_τ
+//!   ```
+//!
+//!   — the per-slot increments above summed in closed form
+//!   (`g_τᵀx = Σ s_i·ε_i/v_i`). The rows `g_τ` come from one streaming
+//!   Durbin–Levinson pass at construction (`g_{τ+1} = [g_τ; 0] +
+//!   (s_τ/v_τ)·[−φ_τ reversed; 1]`) and take the memory the `φ` rows
+//!   would. A replication costs one FFT plus one length-`τ` dot product
+//!   per twist when it stops, instead of `τ²/2` multiply-adds.
+//! * **The Durbin–Levinson recursion**, for every other ACF, or a horizon
+//!   past the embedding's exact lags: `x0` drawn slot by slot, the
+//!   log-likelihood ratio accumulated per slot, as described above.
+//!
+//! Either way replication `i` is a pure function of its seed, so every
+//! thread-count and batching guarantee holds for both sources. The
+//! prepared source sits behind an `Arc`: clones of an estimator (e.g.
+//! [`IsEstimator::with_twist`]) share it. [`is_transient_curve`] makes the
+//! same choice, keeping `g_t` only at its stop times.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod diagnostics;
 pub mod estimator;
+mod path;
 pub mod search;
 pub mod transient;
 

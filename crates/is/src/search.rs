@@ -353,6 +353,44 @@ mod tests {
     }
 
     #[test]
+    fn embedded_valley_search_is_bit_identical_across_thread_counts(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        // The paper's composite background through `pd_project`: the
+        // valley runs on exact circulant paths.
+        let table = svbr_lrd::pd_project(svbr_lrd::CompositeAcf::paper_fit(), 150)?;
+        let twists = [0.0, 0.5, 1.0, 2.0];
+        let search = |threads| {
+            valley_search(
+                &table,
+                150,
+                GaussianTransform::new(NormalDist::standard()),
+                0.5,
+                12.0,
+                IsEvent::FirstPassage,
+                &twists,
+                400,
+                9,
+                threads,
+            )
+        };
+        let (baseline, best) = search(1)?;
+        assert!(baseline.iter().all(|p| p.estimate.hits > 0));
+        for threads in [2usize, 8] {
+            let (points, b) = search(threads)?;
+            assert_eq!(b, best, "threads={threads}");
+            for (p, q) in points.iter().zip(&baseline) {
+                let (e, f) = (p.estimate, q.estimate);
+                assert_eq!(e.p.to_bits(), f.p.to_bits(), "threads={threads}");
+                assert_eq!(e.variance.to_bits(), f.variance.to_bits());
+                assert_eq!(e.hits, f.hits);
+                assert_eq!(e.n, f.n);
+                assert_eq!(e.mean_slots.to_bits(), f.mean_slots.to_bits());
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
     fn valley_twists_share_random_numbers() -> Result<(), Box<dyn std::error::Error>> {
         // Common random numbers: a twist's replications are the same
         // experiments whatever the other twists are, and the point for a

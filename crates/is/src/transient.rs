@@ -8,7 +8,7 @@
 //! by `m*`, slot by slot (the same per-slot step as
 //! [`crate::IsEstimator::replicate_twists`]).
 
-use crate::estimator::SharedSlot;
+use crate::path::{for_each_g, Score, SharedSlot};
 use crate::IsError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,6 +17,7 @@ use svbr_lrd::acf::Acf;
 use svbr_lrd::cache::{hosking_coefficients, CachedHosking};
 use svbr_lrd::gauss::Normal;
 use svbr_lrd::hosking::PreparedHosking;
+use svbr_lrd::{kernels, DaviesHarte};
 use svbr_marginal::transform::GaussianTransform;
 use svbr_marginal::Marginal;
 
@@ -61,12 +62,17 @@ impl TransientEstimate {
 
 /// Estimate the transient overflow curve by importance sampling.
 ///
-/// The Durbin–Levinson coefficient schedule is fetched from the process
-/// cache ([`hosking_coefficients`]) — repeated curves over the same ACF and
-/// horizon (the Fig. 15 sweep) share one schedule instead of re-running the
-/// O(n²) recursion. Each replication runs to the horizon (no early
-/// termination — every stop time needs its indicator) and is scored at all
-/// stop times.
+/// Each replication runs to the horizon (no early termination — every stop
+/// time needs its indicator) and is scored at all stop times. When `acf`
+/// carries a circulant embedding exact over the horizon
+/// ([`Acf::embedding`]), the untwisted path is one Davies–Harte draw and
+/// stop time `t` is weighted in closed form,
+/// `ln L_t = −m*·g_tᵀx0[..t] − ½m*²·G_t`, from the rows `g_t = Σ_t⁻¹·1_t`
+/// at the stop times only. Otherwise the path is drawn by the
+/// Durbin–Levinson recursion, whose coefficient schedule is fetched from
+/// the process cache ([`hosking_coefficients`]) — repeated curves over the
+/// same ACF and horizon share one schedule instead of re-running the O(n²)
+/// recursion.
 ///
 /// Replication `i` draws from the seed
 /// `svbr_par::derive_seed(master_seed, i)`; per-replication scores are
@@ -107,37 +113,44 @@ where
     }
     // svbr-lint: allow(no-expect) stop_times emptiness is rejected by the guard above
     let horizon = *config.stop_times.last().expect("non-empty");
-    let prepared: Arc<PreparedHosking> = match hosking_coefficients(&acf, horizon)? {
-        CachedHosking::Shared(p) => p,
-        // Horizon past the cache's memory cap: pay the recursion locally.
-        CachedHosking::Streaming => Arc::new(PreparedHosking::new(acf, horizon)?),
-    };
-    let m = config.stop_times.len();
+    let twist = config.twist;
     // One weight vector per replication (0.0 where the stop time missed),
     // folded below in replication-index order for thread-count invariance.
-    let per_rep = svbr_par::run_replications(master_seed, n_reps, threads, |_rep, seed| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut normal = Normal::new();
-        let mut weights = vec![0.0f64; m];
-        let mut hist: Vec<f64> = Vec::with_capacity(horizon);
-        let mut log_lr = 0.0f64;
-        let mut q = config.initial;
-        let mut next = 0usize;
-        for i in 0..horizon {
-            let slot = SharedSlot::draw(&prepared, &mut hist, &mut normal, &mut rng);
-            let (x, d_log_lr) = slot.twisted(config.twist);
-            log_lr += d_log_lr;
-            let y = transform.apply(x);
-            q = (q + y - config.service).max(0.0);
-            while next < m && config.stop_times[next] == i + 1 {
-                if q > config.buffer {
-                    weights[next] = log_lr.exp();
-                }
-                next += 1;
-            }
+    let per_rep = match acf.embedding() {
+        Some(embedding) if horizon <= embedding.exact_lags() => {
+            let sampler = DaviesHarte::from_embedding(embedding, horizon)?;
+            let stops = stop_rows(&acf, &config.stop_times)?;
+            svbr_par::run_replications(master_seed, n_reps, threads, |_rep, seed| {
+                let x0 = sampler.generate(&mut StdRng::seed_from_u64(seed));
+                score_stops(&x0, transform, config, |stop, t| {
+                    let (g, total) = &stops[stop];
+                    let dot = kernels::dot(g, &x0[..t]);
+                    Score { dot, total: *total }.log_lr(twist)
+                })
+            })
         }
-        weights
-    });
+        _ => {
+            let prepared: Arc<PreparedHosking> = match hosking_coefficients(&acf, horizon)? {
+                CachedHosking::Shared(p) => p,
+                // Horizon past the cache's memory cap: pay the recursion locally.
+                CachedHosking::Streaming => Arc::new(PreparedHosking::new(acf, horizon)?),
+            };
+            svbr_par::run_replications(master_seed, n_reps, threads, |_rep, seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut normal = Normal::new();
+                let mut x0 = Vec::with_capacity(horizon);
+                let mut cum_log_lr = Vec::with_capacity(horizon);
+                let mut log_lr = 0.0f64;
+                for _ in 0..horizon {
+                    let slot = SharedSlot::draw(&prepared, &mut x0, &mut normal, &mut rng);
+                    log_lr += slot.twisted(twist).1;
+                    cum_log_lr.push(log_lr);
+                }
+                score_stops(&x0, transform, config, |_, t| cum_log_lr[t - 1])
+            })
+        }
+    };
+    let m = config.stop_times.len();
     let mut sums = vec![0.0f64; m];
     let mut sums_sq = vec![0.0f64; m];
     for weights in &per_rep {
@@ -159,6 +172,48 @@ where
         variance,
         n: n_reps,
     })
+}
+
+/// Run the Lindley recursion over `x0 + m*` from the configured initial
+/// level and score each stop time `t`: `1{Q_t > b}·exp(log_lr(stop, t))`,
+/// `stop` indexing `config.stop_times`.
+fn score_stops<M: Marginal>(
+    x0: &[f64],
+    transform: &GaussianTransform<M>,
+    config: &TransientConfig,
+    log_lr: impl Fn(usize, usize) -> f64,
+) -> Vec<f64> {
+    let stops = &config.stop_times;
+    let mut weights = vec![0.0f64; stops.len()];
+    let mut q = config.initial;
+    let mut next = 0usize;
+    for (i, &x) in x0.iter().enumerate() {
+        let y = transform.apply(x + config.twist);
+        q = (q + y - config.service).max(0.0);
+        while next < stops.len() && stops[next] == i + 1 {
+            if q > config.buffer {
+                weights[next] = log_lr(next, i + 1).exp();
+            }
+            next += 1;
+        }
+    }
+    weights
+}
+
+/// `(g_t, G_t)` at each stop time `t` (see [`crate::path::for_each_g`]):
+/// all the closed-form weights need, without the O(k²) table of every row.
+fn stop_rows<A: Acf>(acf: A, stop_times: &[usize]) -> Result<Vec<(Vec<f64>, f64)>, IsError> {
+    let horizon = stop_times.last().copied().unwrap_or(0);
+    let mut rows = Vec::with_capacity(stop_times.len());
+    let mut tau = 0usize;
+    for_each_g(acf, horizon, |g, total| {
+        tau += 1;
+        while rows.len() < stop_times.len() && stop_times[rows.len()] == tau {
+            // svbr-analyze: allow(alloc-in-hot-loop) bounded: one row per stop time, stop_times.len() copies in all
+            rows.push((g.to_vec(), total));
+        }
+    })?;
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -258,6 +313,57 @@ mod tests {
                     "variance[{i}] at threads={threads}"
                 );
             }
+        }
+        Ok(())
+    }
+
+    /// The paper's composite background, projected with its circulant.
+    fn composite_table(k: usize) -> Result<svbr_lrd::acf::TabulatedAcf, svbr_lrd::LrdError> {
+        svbr_lrd::pd_project(svbr_lrd::CompositeAcf::paper_fit(), k)
+    }
+
+    #[test]
+    fn embedded_curve_is_bit_identical_across_thread_counts(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let t = GaussianTransform::new(NormalDist::standard());
+        let table = composite_table(60)?;
+        let cfg = config(vec![5, 20, 60], 0.4, 0.0);
+        let baseline = is_transient_curve(&table, &t, &cfg, 400, 21, 1)?;
+        assert!(baseline.p.iter().any(|&p| p > 0.0), "need non-trivial hits");
+        for threads in [2usize, 8] {
+            let est = is_transient_curve(&table, &t, &cfg, 400, 21, threads)?;
+            for (i, (p, v)) in est.p.iter().zip(est.variance.iter()).enumerate() {
+                assert_eq!(
+                    p.to_bits(),
+                    baseline.p[i].to_bits(),
+                    "p[{i}] threads={threads}"
+                );
+                assert_eq!(v.to_bits(), baseline.variance[i].to_bits());
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn embedded_curve_agrees_with_recursion() -> Result<(), Box<dyn std::error::Error>> {
+        // Same table values; circulant paths with closed-form weights vs
+        // the Durbin–Levinson recursion, on independent streams.
+        let t = GaussianTransform::new(NormalDist::standard());
+        let embedded = composite_table(80)?;
+        let plain = svbr_lrd::pd_project_table(svbr_lrd::CompositeAcf::paper_fit(), 80)?;
+        let mut cfg = config(vec![10, 40, 80], 0.3, 0.0);
+        cfg.buffer = 8.0;
+        let a = is_transient_curve(&embedded, &t, &cfg, 20_000, 31, 2)?;
+        let b = is_transient_curve(&plain, &t, &cfg, 20_000, 32, 2)?;
+        for i in 0..3 {
+            let tol = 4.0 * (a.variance[i].sqrt() + b.variance[i].sqrt());
+            assert!(b.p[i] > 0.0, "stop {i}: no hits");
+            assert!(
+                (a.p[i] - b.p[i]).abs() < tol,
+                "stop {i}: circulant {} vs recursion {} (tol {tol})",
+                a.p[i],
+                b.p[i]
+            );
         }
         Ok(())
     }

@@ -8,6 +8,7 @@
 //! autocorrelations and the lag-rescaling used for the composite I-B-P model
 //! (eq. 15).
 
+use crate::davies_harte::CirculantEmbedding;
 use crate::{check_hurst, LrdError};
 
 /// A normalized autocorrelation function of a stationary process.
@@ -24,17 +25,35 @@ pub trait Acf {
     fn table(&self, n: usize) -> Vec<f64> {
         (0..n).map(|k| self.r(k)).collect()
     }
+
+    /// The nonnegative circulant these lags were cut from, when the ACF
+    /// carries one ([`crate::davies_harte::pd_project`] tables do): its
+    /// first [`CirculantEmbedding::exact_lags`] lags equal `r(k)`, so
+    /// [`crate::DaviesHarte::from_embedding`] draws exact paths of that
+    /// many samples. `None` by default. A wrapper that changes the lags
+    /// must leave it `None`.
+    fn embedding(&self) -> Option<&CirculantEmbedding> {
+        None
+    }
 }
 
 impl<A: Acf + ?Sized> Acf for &A {
     fn r(&self, k: usize) -> f64 {
         (**self).r(k)
     }
+
+    fn embedding(&self) -> Option<&CirculantEmbedding> {
+        (**self).embedding()
+    }
 }
 
 impl Acf for Box<dyn Acf + Send + Sync> {
     fn r(&self, k: usize) -> f64 {
         (**self).r(k)
+    }
+
+    fn embedding(&self) -> Option<&CirculantEmbedding> {
+        (**self).embedding()
     }
 }
 
@@ -44,6 +63,8 @@ impl Acf for Box<dyn Acf + Send + Sync> {
 #[derive(Debug, Clone)]
 pub struct TabulatedAcf {
     values: Vec<f64>,
+    /// The circulant the table was cut from (see [`Acf::embedding`]).
+    embedding: Option<CirculantEmbedding>,
 }
 
 impl TabulatedAcf {
@@ -61,7 +82,19 @@ impl TabulatedAcf {
         for v in values.iter_mut() {
             *v = svbr_domain::Correlation::new_clamped(*v, 1e-9)?.value();
         }
-        Ok(Self { values })
+        Ok(Self {
+            values,
+            embedding: None,
+        })
+    }
+
+    /// Attach the circulant whose first `embedding.exact_lags()` lags are
+    /// this table's values.
+    pub(crate) fn with_embedding(self, embedding: CirculantEmbedding) -> Self {
+        Self {
+            embedding: Some(embedding),
+            ..self
+        }
     }
 
     /// Number of tabulated lags.
@@ -78,6 +111,10 @@ impl TabulatedAcf {
 impl Acf for TabulatedAcf {
     fn r(&self, k: usize) -> f64 {
         self.values.get(k).copied().unwrap_or(0.0)
+    }
+
+    fn embedding(&self) -> Option<&CirculantEmbedding> {
+        self.embedding.as_ref()
     }
 }
 

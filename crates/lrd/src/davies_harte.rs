@@ -15,8 +15,9 @@
 //!
 //! take its FFT to get eigenvalues `λ_j ≥ 0`, draw independent complex
 //! Gaussians `Z_j` with the required Hermitian symmetry, scale by
-//! `sqrt(λ_j/m)` and inverse-transform; the real part of the first `n`
-//! outputs is an exact sample path.
+//! `sqrt(λ_j/m)` and transform; the first `n` outputs are an exact sample
+//! path. The path is real, so the length-`m` transform folds into one of
+//! length `m/2` (see [`DaviesHarte::generate_into`]).
 //!
 //! The paper itself uses Hosking's O(n²) method; this generator is the
 //! standard fast alternative and is benchmarked against it in
@@ -29,8 +30,44 @@ use crate::LrdError;
 use rand::Rng;
 use std::sync::Arc;
 
+/// The nonnegative-definite circulant a [`pd_project`]ed table is cut
+/// from, carried by the table (see [`Acf::embedding`]).
+///
+/// Its first [`Self::exact_lags`] autocorrelations are the table's
+/// values, so a Davies–Harte path drawn from it
+/// ([`DaviesHarte::from_embedding`]) is an exact sample of the table's
+/// process for up to that many samples — no padding or clamping of its
+/// own, and no eigenvalue FFT per sampler.
+#[derive(Clone)]
+pub struct CirculantEmbedding {
+    /// `sqrt(λ_j / (m·c₀))` for the floored eigenvalues `λ_j` and the
+    /// circulant's lag-0 value `c₀`: the Davies–Harte scales of the
+    /// normalized circulant.
+    scale: Arc<[f64]>,
+    /// Number of leading lags equal to the table's (the table length).
+    exact_lags: usize,
+}
+
+impl CirculantEmbedding {
+    /// Number of leading lags the circulant shares with its table; the
+    /// longest exact path it can draw.
+    pub fn exact_lags(&self) -> usize {
+        self.exact_lags
+    }
+}
+
+impl std::fmt::Debug for CirculantEmbedding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CirculantEmbedding")
+            .field("embedding_len", &self.scale.len())
+            .field("exact_lags", &self.exact_lags)
+            .finish()
+    }
+}
+
 /// A prepared Davies–Harte sampler: the eigenvalue square roots are
-/// precomputed once and each trace costs one FFT.
+/// precomputed once and each trace costs one FFT of half the embedding
+/// length.
 ///
 /// ```
 /// use rand::{rngs::StdRng, SeedableRng};
@@ -50,10 +87,12 @@ pub struct DaviesHarte {
     /// ACF and the embedding length `m` alone, so samplers whose lengths
     /// share `m` share this vector (see [`Self::with_len`]).
     scale: Arc<[f64]>,
+    /// `w^j = e^{−2πij/m}` for `j < m/2`: folds the length-`m` spectrum
+    /// into the half-length one.
+    twiddle: Arc<[Complex]>,
     /// Number of usable samples per generated path.
     n: usize,
-    /// Shared FFT plan for the length-`m` per-path transform (bitwise
-    /// identical to the unplanned transform; see [`FftPlan`]).
+    /// Shared FFT plan for the length-`m/2` per-path transform.
     plan: Arc<FftPlan>,
 }
 
@@ -81,6 +120,22 @@ impl DaviesHarte {
         Self::build(acf, n, rel_tol)
     }
 
+    /// A sampler for `n`-sample paths of a carried circulant (see
+    /// [`Acf::embedding`]): exact for the table the circulant came with,
+    /// with no eigenvalue FFT and no clamping.
+    ///
+    /// Requires `1 <= n <= embedding.exact_lags()`; beyond that the
+    /// circulant's lags are not the table's.
+    pub fn from_embedding(embedding: &CirculantEmbedding, n: usize) -> Result<Self, LrdError> {
+        if n == 0 || n > embedding.exact_lags {
+            return Err(LrdError::InvalidParameter {
+                name: "n",
+                constraint: "1 <= n <= the embedding's exact lags",
+            });
+        }
+        Ok(Self::from_scale(Arc::clone(&embedding.scale), n))
+    }
+
     fn build<A: Acf>(acf: A, n: usize, rel_tol: f64) -> Result<Self, LrdError> {
         // Times the one-off FFT *setup* cost (eigenvalue computation), as
         // opposed to the per-path cost timed by `davies_harte.generate`.
@@ -94,11 +149,7 @@ impl DaviesHarte {
         }
         let m = Self::embedding_len(n);
         if n == 1 {
-            return Ok(Self {
-                scale: Arc::new([1.0]),
-                n,
-                plan: crate::cache::fft_plan(m),
-            });
+            return Ok(Self::from_scale(Arc::new([1.0]), n));
         }
         let half = m / 2;
         let mut row = vec![Complex::default(); m];
@@ -125,15 +176,35 @@ impl DaviesHarte {
                 value: z.re,
             });
         }
-        let scale = row
+        let mut scale: Vec<f64> = row
             .iter()
             .map(|z| (z.re.max(0.0) / m as f64).sqrt())
             .collect();
-        // The per-path transform reuses one shared plan for length m; the
-        // planned butterflies are bitwise-identical to the unplanned ones,
-        // so committed fixed-seed traces are unchanged.
-        let plan = crate::cache::fft_plan(m);
-        Ok(Self { scale, n, plan })
+        mirror_average(&mut scale);
+        Ok(Self::from_scale(scale.into(), n))
+    }
+
+    /// The sampler for `n`-sample paths of the length-`m` spectrum `scale`:
+    /// tabulates the fold's twiddles and fetches the shared `m/2` plan.
+    fn from_scale(scale: Arc<[f64]>, n: usize) -> Self {
+        let m = scale.len();
+        let half = m / 2;
+        // w^j for j <= m/4 from sin_cos; the rest by w^{m/2−j} = −conj(w^j).
+        let mut twiddle = vec![Complex::default(); half];
+        for j in 0..(half / 2 + 1).min(half) {
+            let (sin, cos) = (2.0 * std::f64::consts::PI * j as f64 / m as f64).sin_cos();
+            twiddle[j] = Complex::new(cos, -sin);
+            let mirror = half - j;
+            if j > 0 && mirror > j {
+                twiddle[mirror] = Complex::new(-cos, -sin);
+            }
+        }
+        Self {
+            scale,
+            twiddle: twiddle.into(),
+            n,
+            plan: crate::cache::fft_plan(half.max(1)),
+        }
     }
 
     /// Circulant embedding length `m` used for `n`-sample paths: the
@@ -162,6 +233,7 @@ impl DaviesHarte {
         }
         Ok(Self {
             scale: Arc::clone(&self.scale),
+            twiddle: Arc::clone(&self.twiddle),
             n,
             plan: Arc::clone(&self.plan),
         })
@@ -186,13 +258,27 @@ impl DaviesHarte {
     }
 
     /// Generate one exact sample path of length `n` into `out`, reusing
-    /// `scratch` for the length-`m` spectrum.
+    /// `scratch` for the half-length spectrum.
     ///
     /// Identical output (same values, same RNG consumption) to
     /// [`Self::generate`]; once both buffers have been warmed to capacity —
-    /// `out` to `n`, `scratch` to the embedding length — repeated calls
-    /// allocate nothing, which is what the pipeline arenas thread through
-    /// replication fan-outs and the serve chunk generator.
+    /// `out` to `n`, `scratch` to half the embedding length — repeated
+    /// calls allocate nothing, which is what the pipeline arenas thread
+    /// through replication fan-outs and the serve chunk generator.
+    ///
+    /// The path is the forward transform `x_t = Σ_j S_j·w^{jt}`,
+    /// `w = e^{−2πi/m}`, of the Hermitian spectrum `S_j = sqrt(λ_j/m)·Z_j`
+    /// (`S_0`, `S_{m/2}` real N(0,1)-scaled; `(N + iN)/√2` for
+    /// `0 < j < m/2`, mirrored conjugate at `m − j`). Splitting `t` into
+    /// even and odd samples folds it into one complex transform of length
+    /// `m/2`:
+    ///
+    /// ```text
+    /// T_j = (S_j + S_{j+m/2}) + i·w^j·(S_j − S_{j+m/2}),   j < m/2
+    /// x_{2p} = Re FFT(T)_p,   x_{2p+1} = Im FFT(T)_p
+    /// ```
+    ///
+    /// plus an O(m) fold, instead of a length-`m` transform.
     pub fn generate_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -213,34 +299,64 @@ impl DaviesHarte {
             out.push(g.sample(rng));
             return;
         }
-        let m = self.scale.len();
-        let half = m / 2;
+        let half = self.scale.len() / 2;
+        let scale = &self.scale[..];
         let mut g = Normal::new();
         scratch.clear();
-        scratch.resize(m, Complex::default());
-        let spec = &mut scratch[..];
-        // Hermitian-symmetric Gaussian spectrum:
-        //  - j = 0 and j = m/2: real N(0,1)
-        //  - 0 < j < m/2: (N + iN)/√2, mirrored conjugate at m−j.
-        spec[0] = Complex::real(self.scale[0] * g.sample(rng));
-        spec[half] = Complex::real(self.scale[half] * g.sample(rng));
+        scratch.resize(half, Complex::default());
+        let t = &mut scratch[..];
+        // Draws in the full spectrum's order: S_0, S_{m/2}, then the pair
+        // (a_j, b_j) of each 0 < j < m/2, parked unscaled in t[j].
+        let s0 = scale[0] * g.sample(rng);
+        let s_half = scale[half] * g.sample(rng);
         let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
-        for j in 1..half {
+        for z in t.iter_mut().skip(1) {
             let a = g.sample(rng) * inv_sqrt2;
             let b = g.sample(rng) * inv_sqrt2;
-            spec[j] = Complex::new(self.scale[j] * a, self.scale[j] * b);
-            // svbr-analyze: allow(panic-surface) 1 <= j < half = m/2, so half < m-j <= m-1 < m
-            spec[m - j] = Complex::new(self.scale[m - j] * a, -self.scale[m - j] * b);
+            *z = Complex::new(a, b);
         }
-        // One forward FFT of the Hermitian spectrum yields a real path; the
-        // shared plan is bitwise-identical to the unplanned transform.
-        self.plan.fft(spec);
-        out.extend(spec[..self.n].iter().map(|z| z.re));
+        t[0] = Complex::new(s0 + s_half, s0 - s_half);
+        // Fold j and k = m/2 − j together: S_{j+m/2} is the mirrored
+        // conjugate of S_k's draw, S_{k+m/2} that of S_j's.
+        let fold = |j: usize, own: Complex, partner: Complex| {
+            let lo = Complex::new(scale[j] * own.re, scale[j] * own.im);
+            let hi_scale = scale[j + half];
+            let hi = Complex::new(hi_scale * partner.re, -hi_scale * partner.im);
+            let d = self.twiddle[j] * (lo - hi);
+            lo + hi + Complex::new(-d.im, d.re)
+        };
+        for j in 1..=half / 2 {
+            let k = half - j;
+            let (u, v) = (t[j], t[k]);
+            t[j] = fold(j, u, v);
+            if k != j {
+                t[k] = fold(k, v, u);
+            }
+        }
+        self.plan.fft(t);
+        out.extend(t.iter().flat_map(|z| [z.re, z.im]).take(self.n));
     }
 
     /// Generate `paths` independent sample paths.
     pub fn generate_many<R: Rng + ?Sized>(&self, paths: usize, rng: &mut R) -> Vec<Vec<f64>> {
         (0..paths).map(|_| self.generate(rng)).collect()
+    }
+}
+
+/// Make a length-`m` spectrum exactly even, `v[j] = v[m − j]`, by
+/// averaging each mirrored pair. The eigenvalues of a symmetric circulant
+/// are even; the FFT that computes them is so only to rounding, and an
+/// uneven pair would leak an imaginary part into the folded real path.
+fn mirror_average(v: &mut [f64]) {
+    let Some((_, rest)) = v.split_first_mut() else {
+        return;
+    };
+    // rest = v[1..m]: its front half pairs with its back half reversed.
+    let (front, back) = rest.split_at_mut(rest.len() / 2);
+    for (a, b) in front.iter_mut().zip(back.iter_mut().rev()) {
+        let avg = 0.5 * (*a + *b);
+        *a = avg;
+        *b = avg;
     }
 }
 
@@ -259,7 +375,24 @@ impl DaviesHarte {
 /// estimation error in the reproduction, and Hosking's method runs on it
 /// without clamping. Any principal Toeplitz minor of a PSD circulant is
 /// PSD, so the projected table is valid for *any* trace length ≤ `n`.
+///
+/// The table carries that circulant ([`Acf::embedding`]), so exact paths
+/// of up to `n` samples can be drawn from it by FFT
+/// ([`DaviesHarte::from_embedding`]). A minimal embedding of the table
+/// itself would not do: for the paper's tables it has negative
+/// eigenvalues even when padded. [`pd_project_table`] returns the same
+/// table without the circulant, for callers that never sample from it.
 pub fn pd_project<A: Acf>(acf: A, n: usize) -> Result<TabulatedAcf, LrdError> {
+    project(acf, n, true)
+}
+
+/// [`pd_project`]'s table without its circulant: bit-identical values,
+/// without the `m` carried scales (8·m bytes, `m ≥ 4(n−1)`).
+pub fn pd_project_table<A: Acf>(acf: A, n: usize) -> Result<TabulatedAcf, LrdError> {
+    project(acf, n, false)
+}
+
+fn project<A: Acf>(acf: A, n: usize, keep_embedding: bool) -> Result<TabulatedAcf, LrdError> {
     if n == 0 {
         return Err(LrdError::InvalidParameter {
             name: "n",
@@ -289,6 +422,7 @@ pub fn pd_project<A: Acf>(acf: A, n: usize) -> Result<TabulatedAcf, LrdError> {
     for z in row.iter_mut() {
         *z = Complex::real(z.re.max(floor));
     }
+    let eigenvalues: Option<Vec<f64>> = keep_embedding.then(|| row.iter().map(|z| z.re).collect());
     ifft(&mut row);
     let norm = row[0].re;
     if norm <= 0.0 {
@@ -303,7 +437,19 @@ pub fn pd_project<A: Acf>(acf: A, n: usize) -> Result<TabulatedAcf, LrdError> {
         .collect();
     let mut values = values;
     values[0] = 1.0;
-    TabulatedAcf::new(values)
+    let table = TabulatedAcf::new(values)?;
+    Ok(match eigenvalues {
+        Some(lambda) => {
+            let denom = m as f64 * norm;
+            let mut scale: Vec<f64> = lambda.iter().map(|l| (l / denom).sqrt()).collect();
+            mirror_average(&mut scale);
+            table.with_embedding(CirculantEmbedding {
+                scale: scale.into(),
+                exact_lags: n,
+            })
+        }
+        None => table,
+    })
 }
 
 #[cfg(test)]
@@ -311,7 +457,7 @@ mod tests {
     use super::*;
     use crate::acf::{CompositeAcf, ExponentialAcf, FgnAcf};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn sample_acov(xs: &[f64], k: usize) -> f64 {
         let n = xs.len() as f64;
@@ -480,6 +626,155 @@ mod tests {
         assert!(dh.with_len(0).is_err());
         let one = DaviesHarte::new(FgnAcf::new(0.7)?, 1)?;
         assert!(one.with_len(1).is_ok() && one.with_len(2).is_err());
+        Ok(())
+    }
+
+    /// The full length-`m` Hermitian spectrum the half-length kernel
+    /// folds, drawn in the same order, and its transform
+    /// `x_t = Σ_j S_j·e^{−2πijt/m}` evaluated directly at `ts` with exact
+    /// twiddles: the oracle for [`DaviesHarte::generate_into`].
+    fn full_transform_at<R: Rng + ?Sized>(dh: &DaviesHarte, rng: &mut R, ts: &[usize]) -> Vec<f64> {
+        let m = dh.scale.len();
+        let half = m / 2;
+        let mut g = Normal::new();
+        let mut spec = vec![Complex::default(); m];
+        spec[0] = Complex::real(dh.scale[0] * g.sample(rng));
+        spec[half] = Complex::real(dh.scale[half] * g.sample(rng));
+        let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
+        for j in 1..half {
+            let a = g.sample(rng) * inv_sqrt2;
+            let b = g.sample(rng) * inv_sqrt2;
+            spec[j] = Complex::new(dh.scale[j] * a, dh.scale[j] * b);
+            spec[m - j] = Complex::new(dh.scale[m - j] * a, -dh.scale[m - j] * b);
+        }
+        let w: Vec<Complex> = (0..m)
+            .map(|j| {
+                let (sin, cos) = (2.0 * std::f64::consts::PI * j as f64 / m as f64).sin_cos();
+                Complex::new(cos, -sin)
+            })
+            .collect();
+        ts.iter()
+            .map(|&t| {
+                spec.iter()
+                    .enumerate()
+                    .map(|(j, &z)| (z * w[j * t % m]).re)
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn half_length_kernel_matches_full_hermitian_transform(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let composite = CompositeAcf::paper_fit();
+        for n in [2usize, 3, 5, 17, 1000, 4097] {
+            let samplers = [
+                DaviesHarte::new(FgnAcf::new(0.85)?, n)?,
+                DaviesHarte::new_approx(&composite, n, 5e-2)?,
+                DaviesHarte::from_embedding(
+                    pd_project(&composite, n)?.embedding().ok_or("no")?,
+                    n,
+                )?,
+            ];
+            // Every sample of short paths; a spread of even and odd
+            // samples, and the last, of long ones.
+            let ts: Vec<usize> = (0..n)
+                .filter(|&t| t < 17 || t % 61 == 0 || t % 61 == 1 || t == n - 1)
+                .collect();
+            for (s, dh) in samplers.iter().enumerate() {
+                let mut r1 = StdRng::seed_from_u64(n as u64 + 100 * s as u64);
+                let mut r2 = r1.clone();
+                let got = dh.generate(&mut r1);
+                let want = full_transform_at(dh, &mut r2, &ts);
+                assert_eq!(got.len(), n);
+                for (&t, w) in ts.iter().zip(&want) {
+                    let d = (got[t] - w).abs();
+                    assert!(d <= 1e-12, "n={n} sampler {s} t={t}: |Δ| {d:e}");
+                }
+                // Same RNG consumption: both streams continue in step.
+                assert_eq!(r1.next_u64(), r2.next_u64(), "n={n} sampler {s}");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn carried_scales_reproduce_the_table_lags() -> Result<(), Box<dyn std::error::Error>> {
+        let composite = CompositeAcf::paper_fit();
+        for n in [2usize, 250, 1000, 2500] {
+            let fgn = pd_project(FgnAcf::new(0.9)?, n)?;
+            let comp = pd_project(&composite, n)?;
+            for table in [&fgn, &comp] {
+                let e = table.embedding().ok_or("pd_project keeps its circulant")?;
+                assert_eq!(e.exact_lags(), n);
+                assert_eq!(e.scale.len(), next_power_of_two(4 * (n - 1)).max(2));
+                // The circulant's autocovariance is the transform of the
+                // squared scales.
+                let mut c: Vec<Complex> = e.scale.iter().map(|s| Complex::real(s * s)).collect();
+                fft(&mut c);
+                for (k, ck) in c.iter().enumerate().take(n) {
+                    let d = (ck.re - table.r(k)).abs();
+                    assert!(d <= 1e-12, "n={n} lag {k}: |Δ| {d:e}");
+                }
+            }
+            // The values are the plain projection's, bit for bit.
+            let plain = pd_project_table(&composite, n)?;
+            assert!(plain.embedding().is_none());
+            for k in 0..n {
+                assert_eq!(plain.r(k).to_bits(), comp.r(k).to_bits(), "lag {k}");
+            }
+        }
+        // One lag needs no circulant; a table of one lag carries none.
+        assert!(pd_project(FgnAcf::new(0.7)?, 1)?.embedding().is_none());
+        Ok(())
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn embedded_paths_reproduce_the_table_covariance() -> Result<(), Box<dyn std::error::Error>> {
+        // The paper's composite table: its own minimal embedding is not
+        // PSD, the carried circulant is, and its paths have the table's
+        // covariance. Per-path lag products, averaged over paths, against
+        // four standard errors of that average.
+        let n = 256;
+        let table = pd_project(CompositeAcf::paper_fit(), n)?;
+        let dh = DaviesHarte::from_embedding(table.embedding().ok_or("no circulant")?, n)?;
+        let mut rng = StdRng::seed_from_u64(17);
+        let paths = 2000;
+        let lags = [0usize, 1, 10, 100];
+        let mut est = vec![Vec::with_capacity(paths); lags.len()];
+        for _ in 0..paths {
+            let xs = dh.generate(&mut rng);
+            for (e, &h) in est.iter_mut().zip(&lags) {
+                let c: f64 = xs.iter().zip(&xs[h..]).map(|(a, b)| a * b).sum();
+                e.push(c / (n - h) as f64);
+            }
+        }
+        for (e, &h) in est.iter().zip(&lags) {
+            let mean = e.iter().sum::<f64>() / paths as f64;
+            let var = e.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (paths - 1) as f64;
+            let se = (var / paths as f64).sqrt();
+            assert!(
+                (mean - table.r(h)).abs() < 4.0 * se,
+                "lag {h}: {mean} vs table {} (se {se})",
+                table.r(h)
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn from_embedding_is_bounded_by_the_exact_lags() -> Result<(), Box<dyn std::error::Error>> {
+        let table = pd_project(FgnAcf::new(0.8)?, 100)?;
+        let e = table.embedding().ok_or("no circulant")?;
+        assert!(DaviesHarte::from_embedding(e, 0).is_err());
+        assert!(DaviesHarte::from_embedding(e, 101).is_err());
+        for n in [1usize, 2, 100] {
+            let dh = DaviesHarte::from_embedding(e, n)?;
+            assert_eq!(dh.generate(&mut StdRng::seed_from_u64(3)).len(), n);
+        }
         Ok(())
     }
 

@@ -64,6 +64,27 @@ pub fn dot_rev(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
+/// Forward dot product `Σ_i a[i] · b[i]` over the common length, with the
+/// same 4-lane accumulation as [`dot_rev`] (the closed-form
+/// importance-sampling weight `g_τᵀ·x` of `svbr-is`).
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut acc = [0.0f64; LANES];
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let mut tail = 0.0;
+    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+        tail += x * y;
+    }
+    for (x, y) in ca.zip(cb) {
+        acc[0] += x[0] * y[0];
+        acc[1] += x[1] * y[1];
+        acc[2] += x[2] * y[2];
+        acc[3] += x[3] * y[3];
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
 /// Lane-batched sum `Σ_i a[i]` (the `Σ_j φ_{k,j}` the importance-sampling
 /// likelihood ratio consumes). Same 4-lane reassociation as [`dot_rev`].
 pub fn sum(a: &[f64]) -> f64 {
@@ -108,6 +129,18 @@ mod tests {
             s += x * b[b.len() - 1 - i];
         }
         s
+    }
+
+    #[test]
+    fn dot_matches_scalar_reference() {
+        for n in [0usize, 1, 3, 4, 5, 8, 9, 17, 100] {
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let b: Vec<f64> = (0..n + 2).map(|i| (i as f64 * 0.71).cos()).collect();
+            let want: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+            let got = dot(&a, &b);
+            assert!((got - want).abs() <= 1e-13 * (1.0 + want.abs()), "n={n}");
+            assert_eq!(got.to_bits(), dot(&b[..n], &a).to_bits(), "n={n}");
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use acf::{
     Acf, CompositeAcf, ExponentialAcf, FarimaAcf, FgnAcf, LagScaledAcf, PowerLawAcf, ScaledAcf,
 };
 pub use cache::{acf_fingerprint, fft_plan, hosking_coefficients, CachedHosking};
-pub use davies_harte::{pd_project, DaviesHarte};
+pub use davies_harte::{pd_project, pd_project_table, CirculantEmbedding, DaviesHarte};
 pub use fft::FftPlan;
 pub use hosking::{
     regularize_to_pd, HoskingSampler, HoskingStep, NonPdPolicy, PreparedHosking, TruncatedHosking,
